@@ -2,8 +2,7 @@
 
 Builds the surveyed topologies (fat tree, DCell, BCube, MDCube, Scafida,
 HCN/BCN, Jellyfish, F10, Facebook fabric), computes structural metrics, and
-evaluates them under synthetic traffic with a flit-level simulator and a
-max-min-fair flow model.
+evaluates them under synthetic traffic with a flit-level simulator.
 """
 
 from .graph import (

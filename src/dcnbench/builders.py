@@ -245,6 +245,7 @@ def build_f10(k: int, hosts_per_edge: Optional[int] = None) -> Topology:
     half = k // 2
     if hosts_per_edge is None:
         hosts_per_edge = half
+    _check_cap(k * half * hosts_per_edge + k * k + half * half, f"f10(k={k})")
 
     def stripe(p: int, a: int):
         if p % 2 == 0:  # type A
@@ -680,6 +681,7 @@ def expand_jellyfish(topology: Topology, ports: int, r: int, seed: int = 0) -> T
     old_switches = topology.num_switches
     hosts_per_switch = ports - r
     new_hosts = old_hosts + hosts_per_switch
+    _check_cap(new_hosts + old_switches + 1, "expand_jellyfish")
     rng = random.Random(seed)
 
     def new_id(old: int) -> int:
@@ -752,6 +754,7 @@ def build_scafida(
         raise TopologyError("max_degree must be >= 2")
     if num_switches < 1:
         raise TopologyError("need at least one switch")
+    _check_cap(num_switches + num_hosts, "scafida")
     rng = random.Random(seed)
     host_cap = min(host_links, max_degree)
     # internal switch keys 0..S-1; host keys S..S+H-1
@@ -807,7 +810,6 @@ def build_scafida(
                 f"host {h} could not attach: no switch ports free under "
                 f"max_degree={max_degree}"
             )
-    _check_cap(num_switches + num_hosts, "scafida")
     nodes = [
         Node(i, NodeKind.HOST, host_cap, label=f"h{i}") for i in range(num_hosts)
     ]

@@ -229,7 +229,7 @@ def run_simulation(
     latency_sum = 0
     departures: dict[int, int] = {}
     in_network = 0
-    awaiting_backoff = 0  # dropped, waiting out the retransmission backoff
+    awaiting_retransmit = 0  # dropped, waiting out the retransmission backoff
 
     def schedule_ready(port_id: int, vc: int, when: int) -> None:
         ready_events.setdefault(when, []).append((port_id, vc))
@@ -331,8 +331,9 @@ def run_simulation(
                         port.is_open[vc] = 1
                         port.open_vcs.append(vc)
                 stats_dropped += 1
-                in_network -= 1
-                awaiting_backoff += 1
+                if pkt.hop > 0:  # a packet still at its source was never in the network
+                    in_network -= 1
+                awaiting_retransmit += 1
                 requeues.setdefault(t + link_latency, []).append(pkt)
                 if q:
                     schedule_ready(port_id, vc, max(t + 1, q[0].base_t + pipeline))
@@ -391,8 +392,6 @@ def run_simulation(
         for h in active_hosts
         if (2 * num_links + h) in ports
     )
-    for bucket in requeues.values():
-        awaiting_retransmit += 0  # backoff packets already counted
     util: dict[int, float] = {}
     for i in range(num_links):
         fwd = departures.get(2 * i, 0)

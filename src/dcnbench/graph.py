@@ -317,21 +317,51 @@ def bfs_distances(topology: Topology, source: int) -> list[int]:
     return dist
 
 
-def make_hosts_and_switches(
-    num_hosts: int,
-    num_switches: int,
-    host_radix: int,
-    switch_radix: int,
-    host_label: str = "host",
-    switch_label: str = "switch",
-) -> list[Node]:
-    """Convenience: dense node list with hosts first, flat addresses."""
-    nodes = [
-        Node(i, NodeKind.HOST, host_radix, label=f"{host_label}{i}")
-        for i in range(num_hosts)
-    ]
-    nodes += [
-        Node(num_hosts + j, NodeKind.SWITCH, switch_radix, label=f"{switch_label}{j}")
-        for j in range(num_switches)
-    ]
-    return nodes
+def bfs_predecessors(topology: Topology, source: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Hop distances from ``source`` (-1 if unreachable) and, for every node,
+    its neighbours one hop closer to ``source`` in ascending order, repeated
+    once per parallel link. These are the node's equal-cost next hops
+    towards ``source``.
+
+    Each frontier is visited in ascending node order, so the predecessor
+    tuples come out sorted without a second adjacency scan. Growing a tuple
+    copies it, which costs the square of a node's predecessor count; that
+    count is bounded by the node's degree.
+    """
+    adjacency = topology.adjacency
+    dist = [-1] * topology.num_nodes
+    preds: list[tuple[int, ...]] = [()] * topology.num_nodes
+    dist[source] = 0
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for nb, _ in adjacency[v]:
+                dn = dist[nb]
+                if dn < 0:
+                    dist[nb] = d
+                    preds[nb] = (v,)
+                    nxt.append(nb)
+                elif dn == d:
+                    preds[nb] += (v,)
+        nxt.sort()
+        frontier = nxt
+    return dist, preds
+
+
+def host_twin_classes(topology: Topology) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Hosts grouped by their sorted neighbour list (with link multiplicity),
+    as ``(neighbours, members)`` pairs in order of first member.
+
+    Twins are at distance 2 from each other (when they have neighbours) and
+    at the same distance from every other node, so one BFS serves the whole
+    class. A host linked to itself is never a twin: its neighbour list holds
+    itself, so the argument above fails.
+    """
+    classes: dict = {}
+    for h in topology.hosts:
+        nbrs = tuple(sorted(nb for nb, _ in topology.adjacency[h]))
+        classes.setdefault(h if h in nbrs else nbrs, (nbrs, []))[1].append(h)
+    return list(classes.values())

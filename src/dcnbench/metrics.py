@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import Topology, TopologyError, bfs_distances
+from .graph import Topology, TopologyError, bfs_distances, host_twin_classes
 
 INF = float("inf")
 
@@ -115,40 +115,37 @@ class MaxFlow:
 # Path metrics
 
 
-def host_diameter(topology: Topology) -> int:
-    """Max over host pairs of the shortest path length in links."""
+def host_path_stats(topology: Topology) -> tuple[int, float]:
+    """Host diameter and mean host-pair shortest-path length, in links.
+
+    Runs one BFS per host twin class (see :func:`host_twin_classes`): a
+    member's distances to the other hosts are its class representative's.
+    The mean is an exact integer sum over ordered pairs divided by their
+    count, which equals the unordered-pair mean bit for bit.
+    """
     hosts = topology.hosts
     if len(hosts) < 2:
-        raise TopologyError("host_diameter needs at least two hosts")
+        raise TopologyError("path metrics need at least two hosts")
     worst = 0
-    for h in hosts:
-        dist = bfs_distances(topology, h)
-        for other in hosts:
-            if dist[other] < 0:
-                raise TopologyError("topology is disconnected")
-            if other != h and dist[other] > worst:
-                worst = dist[other]
-    return worst
+    total = 0
+    for _, members in host_twin_classes(topology):
+        dist = bfs_distances(topology, members[0])
+        row = [dist[h] for h in hosts]
+        if min(row) < 0:
+            raise TopologyError("topology is disconnected")
+        worst = max(worst, max(row))
+        total += len(members) * sum(row)
+    return worst, total / (len(hosts) * (len(hosts) - 1))
+
+
+def host_diameter(topology: Topology) -> int:
+    """Max over host pairs of the shortest path length in links."""
+    return host_path_stats(topology)[0]
 
 
 def avg_host_path(topology: Topology) -> float:
     """Mean shortest-path length over unordered host pairs."""
-    hosts = topology.hosts
-    if len(hosts) < 2:
-        raise TopologyError("avg_host_path needs at least two hosts")
-    total = 0
-    count = 0
-    index = {h: i for i, h in enumerate(hosts)}
-    for h in hosts:
-        dist = bfs_distances(topology, h)
-        for other in hosts:
-            if index[other] <= index[h]:
-                continue
-            if dist[other] < 0:
-                raise TopologyError("topology is disconnected")
-            total += dist[other]
-            count += 1
-    return total / count
+    return host_path_stats(topology)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +427,13 @@ def compute_metrics(topology: Topology, restarts: int = 8, seed: int = 0) -> Met
     else:
         bisection = bisection_bandwidth_heuristic(topology, restarts=restarts, seed=seed)
         method = "heuristic"
+    diameter, avg_path = host_path_stats(topology)
     return MetricsReport(
         topology=topology.name(),
         hosts=topology.num_hosts,
         switches=topology.num_switches,
-        host_diameter=host_diameter(topology),
-        avg_host_path=avg_host_path(topology),
+        host_diameter=diameter,
+        avg_host_path=avg_path,
         bisection_bandwidth=bisection,
         oversubscription=oversubscription_ratio(topology, bisection),
         method=method,

@@ -9,9 +9,17 @@ from source host to destination host.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Callable, Optional, Sequence
 
-from .graph import AddressScheme, NodeKind, Topology, TopologyError, bfs_distances
+from .graph import (
+    AddressScheme,
+    NodeKind,
+    Topology,
+    TopologyError,
+    bfs_predecessors,
+    host_twin_classes,
+)
 
 Route = list[int]
 
@@ -44,19 +52,35 @@ def check_route(topology: Topology, route: Sequence[int]) -> None:
 
 
 def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
-    """Per-node map destination host -> sorted tuple of equal-cost next hops."""
-    tables: list[dict[int, tuple[int, ...]]] = [dict() for _ in range(topology.num_nodes)]
-    for dst in topology.hosts:
-        dist = bfs_distances(topology, dst)
+    """Per-node map destination host -> sorted tuple of equal-cost next hops.
+
+    Runs one BFS per host twin class (see :func:`host_twin_classes`) and
+    shares its row of next-hop tuples across the class's members. Towards a
+    member, only three kinds of entries differ from the representative's
+    row: the class's neighbours step straight to the member, the
+    representative reaches it through the shared neighbours, and the member
+    has no entry for itself.
+    """
+    hosts = topology.hosts
+    if not hosts:
+        return [dict() for _ in range(topology.num_nodes)]
+    classes = host_twin_classes(topology)
+    row_of: dict[int, list[tuple[int, ...]]] = {}
+    for _, members in classes:
+        dist, row = bfs_predecessors(topology, members[0])
         if min(dist) < 0:
             raise TopologyError("topology is disconnected")
-        for v in range(topology.num_nodes):
-            if v == dst:
-                continue
-            hops = tuple(
-                sorted(nb for nb, _ in topology.adjacency[v] if dist[nb] == dist[v] - 1)
-            )
-            tables[v][dst] = hops
+        for h in members:
+            row_of[h] = row
+    tables = [dict(zip(hosts, col)) for col in zip(*[row_of[h] for h in hosts])]
+    for nbrs, members in classes:
+        links_to = Counter(nbrs).items()
+        for dst in members[1:]:
+            for nb, count in links_to:
+                tables[nb][dst] = (dst,) * count
+            tables[members[0]][dst] = nbrs
+        for dst in members:
+            del tables[dst][dst]
     return tables
 
 

@@ -1,0 +1,49 @@
+"""Hand-built topologies for the twin-class edge cases that no builder makes.
+
+Twin hosts are hosts with the same sorted neighbour list; path metrics and
+ECMP tables run one BFS per twin class, so these cases pin down where that
+shortcut could go wrong.
+"""
+
+from dcnbench.graph import Link, Node, NodeKind, Topology
+
+
+def _topology(num_hosts, num_switches, pairs):
+    nodes = [Node(i, NodeKind.HOST, 8) for i in range(num_hosts)]
+    nodes += [Node(num_hosts + j, NodeKind.SWITCH, 16) for j in range(num_switches)]
+    return Topology(nodes, [Link(a, b) for a, b in pairs])
+
+
+def duplicate_host_links():
+    """Hosts 0 and 1 reach switch 4 over two parallel links each; hosts 2
+    and 3 share switch 5, which has two parallel links to switch 4."""
+    return _topology(4, 2, [(0, 4), (0, 4), (1, 4), (1, 4), (2, 5), (3, 5), (4, 5), (5, 4)])
+
+
+def multihomed_twins():
+    """Hosts 0-2 are multi-homed to switches 8 and 9; host 3 is single-homed
+    to 8; hosts 5 and 6 hang off host 4 only (server-centric style); host 7
+    has a self-loop."""
+    return _topology(8, 3, [
+        (0, 8), (0, 9), (1, 9), (1, 8), (2, 8), (2, 9),
+        (3, 8), (8, 10), (9, 10), (4, 10), (5, 4), (4, 6), (7, 7), (7, 10),
+    ])
+
+
+def self_loop_pair():
+    """Hosts 0 and 1 each carry a self-loop and share two parallel links, so
+    their sorted neighbour lists are equal although they are adjacent."""
+    return _topology(3, 1, [(0, 0), (1, 1), (0, 1), (1, 0), (0, 3), (1, 3), (2, 3)])
+
+
+def isolated_twins():
+    """Hosts 0 and 1 have no links (twins with no neighbours); hosts 2 and
+    3 share switch 4."""
+    return _topology(4, 1, [(2, 4), (3, 4)])
+
+
+HAND_BUILT = {
+    "duplicate_host_links": duplicate_host_links,
+    "multihomed_twins": multihomed_twins,
+    "self_loop_pair": self_loop_pair,
+}

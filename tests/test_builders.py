@@ -443,3 +443,26 @@ def test_unknown_preset():
     with pytest.raises(TopologyError) as err:
         build_preset("nosuch")
     assert "fat-tree-k4" in str(err.value)
+
+
+# --- size cap -----------------------------------------------------------
+
+
+def test_f10_size_cap(monkeypatch):
+    monkeypatch.setenv("DCNBENCH_SIZE_CAP", "35")  # f10(4) has 36 nodes
+    with pytest.raises(SizeCapError):
+        build_f10(4)
+
+
+def test_expand_jellyfish_size_cap(monkeypatch):
+    topo = build_jellyfish(10, 4, 3, seed=1)  # 20 nodes; one more switch adds 2
+    monkeypatch.setenv("DCNBENCH_SIZE_CAP", "21")
+    with pytest.raises(SizeCapError):
+        expand_jellyfish(topo, 4, 3)
+
+
+def test_scafida_size_cap_before_growth(monkeypatch):
+    # these parameters exhaust switch ports mid-growth; the cap must fire first
+    monkeypatch.setenv("DCNBENCH_SIZE_CAP", "24")
+    with pytest.raises(SizeCapError):
+        build_scafida(5, 20, 4, seed=0)

@@ -1,0 +1,37 @@
+import pytest
+
+from dcnbench.builders import build_preset
+from dcnbench.flitsim import SimConfig, run_simulation
+from dcnbench.graph import bfs_distances
+
+
+@pytest.mark.parametrize("rate", [0.05, 1.0])
+@pytest.mark.parametrize("preset", ["fat-tree-k4", "dcell-n4-l1", "jellyfish-s10-p4-r3"])
+def test_packet_conservation(preset, rate):
+    stats = run_simulation(build_preset(preset), config=SimConfig(injection_rate=rate, sim_cycles=2000))
+    if rate == 1.0:
+        assert stats.dropped > 0  # saturated: heads are dropped and retransmitted
+    accounted = (
+        stats.packets_received + stats.in_flight + stats.awaiting_retransmit + stats.source_queued
+    )
+    assert stats.packets_generated == accounted
+    assert min(stats.in_flight, stats.awaiting_retransmit, stats.source_queued) >= 0
+
+
+def test_fixed_seed_gives_identical_stats():
+    topo = build_preset("dcell-n4-l1")
+    config = SimConfig(injection_rate=0.6, sim_cycles=1000, seed=3)
+    assert run_simulation(topo, config=config) == run_simulation(topo, config=config)
+
+
+def test_zero_load_latency_matches_hop_sum():
+    topo = build_preset("fat-tree-k4")
+    config = SimConfig(injection_rate=0.05, sim_cycles=2000)
+    hosts = topo.hosts
+    links = [bfs_distances(topo, h)[d] for h in hosts for d in hosts if d != h]
+    per_link = config.router_pipeline + config.link_latency
+    analytic = per_link * sum(links) / len(links)
+    assert analytic == pytest.approx(82.0)
+    stats = run_simulation(topo, config=config)
+    assert stats.dropped == 0
+    assert stats.avg_packet_latency == pytest.approx(analytic, rel=0.05)

@@ -2,11 +2,14 @@ import itertools
 
 import pytest
 
-from dcnbench.graph import Link, Node, NodeKind, Topology, TopologyError
+from dcnbench.graph import Link, Node, NodeKind, Topology, TopologyError, bfs_distances
 from dcnbench.builders import (
+    PRESETS,
+    build_bcube,
     build_dcell,
     build_fat_tree,
     build_jellyfish,
+    build_preset,
     build_scafida,
 )
 from dcnbench.metrics import (
@@ -17,10 +20,13 @@ from dcnbench.metrics import (
     compute_metrics,
     failure_experiment,
     host_diameter,
+    host_path_stats,
     oversubscription_ratio,
     pairs_with_two_disjoint_paths,
     vertex_disjoint_paths,
 )
+
+from hand_topologies import HAND_BUILT, isolated_twins
 
 
 def star(num_hosts):
@@ -73,6 +79,40 @@ def test_diameter_errors():
     disconnected = Topology(nodes, [])
     with pytest.raises(TopologyError):
         host_diameter(disconnected)
+
+
+@pytest.mark.parametrize("metric", [host_diameter, avg_host_path, host_path_stats])
+def test_path_metrics_reject_isolated_twins(metric):
+    with pytest.raises(TopologyError):
+        metric(isolated_twins())
+
+
+def reference_path_stats(topology):
+    """One BFS per host; diameter and mean over unordered host pairs."""
+    hosts = topology.hosts
+    rows = [bfs_distances(topology, h) for h in hosts]
+    pairs = [row[other] for i, row in enumerate(rows) for other in hosts[i + 1:]]
+    if min(pairs) < 0:
+        raise TopologyError("topology is disconnected")
+    return max(pairs), sum(pairs) / len(pairs)
+
+
+PATH_CASES = {name: (lambda name=name: build_preset(name)) for name in PRESETS}
+PATH_CASES.update(HAND_BUILT)
+PATH_CASES.update(
+    dcell_n2_l2=lambda: build_dcell(2, 2),
+    bcube_n3_k2=lambda: build_bcube(3, 2),
+    scafida=lambda: build_scafida(30, 40, 12, seed=5),
+)
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CASES))
+def test_path_stats_match_reference(name):
+    topo = PATH_CASES[name]()
+    diameter, avg = reference_path_stats(topo)
+    assert host_path_stats(topo) == (diameter, avg)  # bit-identical mean
+    assert host_diameter(topo) == diameter
+    assert avg_host_path(topo) == avg
 
 
 # --- bisection ------------------------------------------------------------

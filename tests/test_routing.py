@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dcnbench.graph import Link, Node, NodeKind, Topology, TopologyError, bfs_distances
-from dcnbench.builders import build_bcube, build_dcell, build_f10, build_fat_tree
+from dcnbench.builders import PRESETS, build_bcube, build_dcell, build_f10, build_fat_tree, build_preset
 from dcnbench.routing import (
     bcube_route,
     check_route,
@@ -19,6 +19,8 @@ from dcnbench.routing import (
     shortest_route_avoiding,
 )
 
+from hand_topologies import HAND_BUILT, isolated_twins
+
 
 def line_topology():
     nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1),
@@ -27,6 +29,53 @@ def line_topology():
 
 
 # --- ECMP tables ------------------------------------------------------------
+
+
+def reference_ecmp_tables(topology):
+    """One BFS per destination host, then a sorted scan of every node's
+    neighbours: the definition the twin-class tables must reproduce."""
+    tables = [dict() for _ in range(topology.num_nodes)]
+    for dst in topology.hosts:
+        dist = bfs_distances(topology, dst)
+        if min(dist) < 0:
+            raise TopologyError("topology is disconnected")
+        for v in range(topology.num_nodes):
+            if v == dst:
+                continue
+            tables[v][dst] = tuple(
+                sorted(nb for nb, _ in topology.adjacency[v] if dist[nb] == dist[v] - 1)
+            )
+    return tables
+
+
+def assert_same_tables(got, want):
+    assert got == want
+    assert [list(t) for t in got] == [list(t) for t in want]  # key order too
+
+
+ECMP_CASES = {name: (lambda name=name: build_preset(name)) for name in PRESETS}
+ECMP_CASES.update(HAND_BUILT)
+
+
+@pytest.mark.parametrize("name", sorted(ECMP_CASES))
+def test_ecmp_tables_match_reference(name):
+    topo = ECMP_CASES[name]()
+    assert_same_tables(compute_ecmp_tables(topo), reference_ecmp_tables(topo))
+
+
+def test_ecmp_tables_repeat_parallel_links():
+    tables = compute_ecmp_tables(HAND_BUILT["duplicate_host_links"]())
+    assert tables[4][0] == (0, 0)
+    assert tables[1][0] == (4, 4)
+    assert tables[4][2] == (5, 5)
+
+
+def test_ecmp_tables_reject_disconnected():
+    with pytest.raises(TopologyError):
+        compute_ecmp_tables(isolated_twins())
+    lone_switch = line_topology().nodes + (Node(3, NodeKind.SWITCH, 2),)
+    with pytest.raises(TopologyError):
+        compute_ecmp_tables(Topology(lone_switch, line_topology().links))
 
 
 def test_ecmp_line_single_next_hops():
