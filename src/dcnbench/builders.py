@@ -22,6 +22,7 @@ from .graph import (
     TaxonomyRecord,
     Topology,
     TopologyError,
+    connected_components,
 )
 
 DEFAULT_SIZE_CAP = 100_000
@@ -77,17 +78,6 @@ BCUBE_TAXONOMY = TaxonomyRecord(
     tiers="n-tier",
 )
 
-MDCUBE_TAXONOMY = TaxonomyRecord(
-    build_approach="deterministic",
-    centricity="server-centric",
-    directness="direct",
-    symmetric=True,
-    extensible=False,
-    deployment="modular",
-    blocking="blocking",
-    tiers="n-tier",
-)
-
 JELLYFISH_TAXONOMY = TaxonomyRecord(
     build_approach="random",
     centricity="switch-centric",
@@ -126,7 +116,7 @@ HCN_TAXONOMY = TaxonomyRecord(
 # Fat-tree family
 
 
-def _fat_tree_nodes(k: int, hosts_per_edge: int, builder: str) -> list[Node]:
+def _fat_tree_nodes(k: int, hosts_per_edge: int) -> list[Node]:
     half = k // 2
     num_hosts = k * half * hosts_per_edge
     switch_radix = max(k, hosts_per_edge + half)
@@ -204,6 +194,25 @@ def _fat_tree_links(k: int, hosts_per_edge: int, core_stripe_of_agg) -> list[Lin
     return links
 
 
+def _fat_tree_family(
+    builder: str, k: int, hosts_per_edge: Optional[int], core_stripe_of_agg
+) -> Topology:
+    """Fat-tree nodes and links (``hosts_per_edge`` defaults to k/2), with the
+    aggregation-to-core wiring given by ``core_stripe_of_agg(pod, agg)``."""
+    half = k // 2
+    if hosts_per_edge is None:
+        hosts_per_edge = half
+    if hosts_per_edge < 1:
+        raise TopologyError("hosts_per_edge must be >= 1")
+    _check_cap(k * half * hosts_per_edge + k * k + half * half, f"{builder}(k={k})")
+    return Topology(
+        _fat_tree_nodes(k, hosts_per_edge),
+        _fat_tree_links(k, hosts_per_edge, core_stripe_of_agg),
+        taxonomy=FAT_TREE_TAXONOMY,
+        builder_params={"builder": builder, "k": k, "hosts_per_edge": hosts_per_edge},
+    )
+
+
 def build_fat_tree(k: int, hosts_per_edge: Optional[int] = None) -> Topology:
     """k-ary fat tree: k pods of k/2 edge + k/2 aggregation switches,
     (k/2)^2 core switches, and k/2 hosts per edge switch (k^3/4 total).
@@ -214,24 +223,11 @@ def build_fat_tree(k: int, hosts_per_edge: Optional[int] = None) -> Topology:
     if k < 2 or k % 2 != 0:
         raise TopologyError(f"fat tree requires even k >= 2, got {k}")
     half = k // 2
-    if hosts_per_edge is None:
-        hosts_per_edge = half
-    if hosts_per_edge < 1:
-        raise TopologyError("hosts_per_edge must be >= 1")
-    num_hosts = k * half * hosts_per_edge
-    _check_cap(num_hosts + k * k + half * half, f"fat_tree(k={k})")
 
     def stripe(p: int, a: int) -> range:
         return range(a * half, (a + 1) * half)
 
-    nodes = _fat_tree_nodes(k, hosts_per_edge, "fat_tree")
-    links = _fat_tree_links(k, hosts_per_edge, stripe)
-    return Topology(
-        nodes,
-        links,
-        taxonomy=FAT_TREE_TAXONOMY,
-        builder_params={"builder": "fat_tree", "k": k, "hosts_per_edge": hosts_per_edge},
-    )
+    return _fat_tree_family("fat_tree", k, hosts_per_edge, stripe)
 
 
 def build_f10(k: int, hosts_per_edge: Optional[int] = None) -> Topology:
@@ -243,23 +239,13 @@ def build_f10(k: int, hosts_per_edge: Optional[int] = None) -> Topology:
     if k < 4 or k % 2 != 0:
         raise TopologyError(f"F10 requires even k >= 4, got {k}")
     half = k // 2
-    if hosts_per_edge is None:
-        hosts_per_edge = half
-    _check_cap(k * half * hosts_per_edge + k * k + half * half, f"f10(k={k})")
 
-    def stripe(p: int, a: int):
+    def stripe(p: int, a: int) -> range:
         if p % 2 == 0:  # type A
             return range(a * half, (a + 1) * half)
         return range(a, half * half, half)  # type B
 
-    nodes = _fat_tree_nodes(k, hosts_per_edge, "f10")
-    links = _fat_tree_links(k, hosts_per_edge, stripe)
-    return Topology(
-        nodes,
-        links,
-        taxonomy=FAT_TREE_TAXONOMY,
-        builder_params={"builder": "f10", "k": k, "hosts_per_edge": hosts_per_edge},
-    )
+    return _fat_tree_family("f10", k, hosts_per_edge, stripe)
 
 
 def build_facebook_fabric(
@@ -529,7 +515,7 @@ def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
     return Topology(
         nodes,
         links,
-        taxonomy=MDCUBE_TAXONOMY,
+        taxonomy=BCUBE_TAXONOMY,
         builder_params={
             "builder": "mdcube", "rows": rows, "cols": cols, "n": n, "k": k,
         },
@@ -642,29 +628,16 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
         raise TopologyError("num_switches * r must be even for an r-regular graph")
     _check_cap(num_switches * (1 + ports - r), "jellyfish")
     rng = random.Random(seed)
+    params = {"builder": "jellyfish", "num_switches": num_switches,
+              "ports": ports, "r": r, "seed": seed}
     for attempt in range(8):
         edges = _random_regular_switch_graph(
             num_switches, r, rng, max_repairs=10 * num_switches + 50
         )
+        topology = _jellyfish_topology(edges, num_switches, ports, r, params)
         # regularity guarantees connectivity only probabilistically; re-roll if not
-        seen = {0}
-        stack = [0]
-        adj: dict[int, list[int]] = {s: [] for s in range(num_switches)}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) == num_switches:
-            return _jellyfish_topology(
-                edges, num_switches, ports, r,
-                {"builder": "jellyfish", "num_switches": num_switches,
-                 "ports": ports, "r": r, "seed": seed},
-            )
+        if len(connected_components(topology)) == 1:
+            return topology
     raise TopologyError("jellyfish produced a disconnected switch graph repeatedly")
 
 
@@ -697,10 +670,6 @@ def expand_jellyfish(topology: Topology, ports: int, r: int, seed: int = 0) -> T
         else:
             host_links.append((new_id(link.a), new_id(link.b)))
     new_switch = new_hosts + old_switches
-    adjacent = set()
-    for u, v in switch_edges:
-        adjacent.add((u, v))
-        adjacent.add((v, u))
     new_degree = 0
     new_neighbors: set[int] = set()
     while new_degree + 2 <= r:

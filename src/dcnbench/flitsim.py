@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .graph import Topology, TopologyError
-from .routing import route_provider
+from .routing import resolve_routing_mode, route_provider
 from .traffic import PatternKind, TrafficPattern, pattern_destination
 
 _SCAN_LIMIT = 8  # VC heads considered per input port per cycle
@@ -132,26 +132,32 @@ class _Port:
 def _active_hosts_and_bits(
     topology: Topology, pattern: TrafficPattern
 ) -> tuple[list[int], int, int]:
-    """Hosts that inject under the pattern, the traffic size N, and bit width.
+    """Hosts that send under the pattern, the traffic size N, and bit width.
 
     Bit patterns on a non-power-of-two host count run over the largest
-    power-of-two host subset (lowest host indices).
+    power-of-two host subset (lowest host indices). A host that a
+    deterministic pattern maps to itself (a palindrome under bit reverse) or
+    to nothing (outside a permutation map) never sends, so it is not active.
     """
     hosts = topology.hosts
     H = len(hosts)
     if H < 2:
         raise TopologyError("simulation needs at least two hosts")
     kind = pattern.kind
+    if kind is PatternKind.UNIFORM_RANDOM:
+        return hosts, H, 0
+    n, bits = H, 0
     if kind in (PatternKind.BIT_COMPLEMENT, PatternKind.BIT_REVERSE):
         bits = H.bit_length() - 1
         n = 1 << bits
-        return hosts[:n], n, bits
-    if kind is PatternKind.PERMUTATION:
-        active = [h for h in hosts if pattern.mapping and h in pattern.mapping]
-        if not active:
-            raise TopologyError("permutation pattern maps no hosts")
-        return active, H, 0
-    return hosts, H, 0
+    if kind is PatternKind.PERMUTATION and not pattern.mapping:
+        raise TopologyError("permutation pattern maps no hosts")
+    active = [
+        h for h in hosts[:n] if pattern_destination(pattern, h, n, bits=bits) not in (None, h)
+    ]
+    if not active:
+        raise TopologyError(f"no host sends under the {kind.value} pattern")
+    return active, n, bits
 
 
 def run_simulation(
@@ -165,6 +171,7 @@ def run_simulation(
     if config is None:
         raise TopologyError("run_simulation needs a SimConfig")
     config.check()
+    routing_mode = resolve_routing_mode(topology, routing_mode)
     provider = route_provider(topology, routing_mode)
     rng = random.Random(config.seed)
     pattern = config.pattern
@@ -180,10 +187,6 @@ def run_simulation(
     num_nodes = topology.num_nodes
     num_links = len(topology.links)
     # directed channel c: 2*i = a->b, 2*i+1 = b->a for link i.
-    chan_dst = [0] * (2 * num_links)
-    for i, link in enumerate(topology.links):
-        chan_dst[2 * i] = link.b
-        chan_dst[2 * i + 1] = link.a
     out_chan: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
     in_ports: list[list[int]] = [[] for _ in range(num_nodes)]  # SA-II ordering
     for v in range(num_nodes):
@@ -244,6 +247,22 @@ def run_simulation(
         if len(q) == 1:
             schedule_ready(port_id, 0, now + pipeline)
 
+    def pop_head(port_id: int, port: _Port, vc: int, now: int) -> _Packet:
+        """Take the head off VC ``vc``: free its pool slot, reopen the VC,
+        schedule the next head, and disarm the port if nothing is ready."""
+        q = port.vcs[vc]
+        pkt = q.popleft()
+        if port.capacity is not None:
+            port.pool -= flit_size
+            if not port.is_open[vc]:
+                port.is_open[vc] = 1
+                port.open_vcs.append(vc)
+        if q:
+            schedule_ready(port_id, vc, max(now + 1, q[0].base_t + pipeline))
+        if not port.ready and port_id in armed:
+            del armed[port_id]
+        return pkt
+
     def place_arrival(pkt: _Packet, port_id: int, now: int) -> None:
         port = ports[port_id]  # pool slot was reserved at departure
         while True:
@@ -285,8 +304,6 @@ def run_simulation(
             if rng.random() >= rate:
                 continue
             dst = pattern_destination(pattern, h, traffic_n, bits=bits, rng=rng)
-            if dst is None or dst == h:
-                continue
             stats_generated += 1
             pkt = _Packet(h, dst, provider(h, dst, rng), t)
             enqueue_source(pkt, t)
@@ -322,23 +339,12 @@ def run_simulation(
                 requests.setdefault(chosen_chan, []).append((port_id, chosen))
             elif drop_mode and front_pool_full:
                 # head-of-line packet's next hop is full: drop and retransmit
-                vc = ready.popleft()
-                q = port.vcs[vc]
-                pkt = q.popleft()
-                if port.capacity is not None:
-                    port.pool -= flit_size
-                    if not port.is_open[vc]:
-                        port.is_open[vc] = 1
-                        port.open_vcs.append(vc)
+                pkt = pop_head(port_id, port, ready.popleft(), t)
                 stats_dropped += 1
                 if pkt.hop > 0:  # a packet still at its source was never in the network
                     in_network -= 1
                 awaiting_retransmit += 1
                 requeues.setdefault(t + link_latency, []).append(pkt)
-                if q:
-                    schedule_ready(port_id, vc, max(t + 1, q[0].base_t + pipeline))
-                if not ready:
-                    del armed[port_id]
         # switch allocation, phase B: one grant per output port
         for chan, cands in requests.items():
             if len(cands) == 1:
@@ -355,17 +361,7 @@ def run_simulation(
             port_id, vc = winner
             port = ports[port_id]
             port.ready.remove(vc)  # winner sits near the ring front
-            q = port.vcs[vc]
-            pkt = q.popleft()
-            if port.capacity is not None:
-                port.pool -= flit_size
-                if not port.is_open[vc]:
-                    port.is_open[vc] = 1
-                    port.open_vcs.append(vc)
-            if q:
-                schedule_ready(port_id, vc, max(t + 1, q[0].base_t + pipeline))
-            if not port.ready and port_id in armed:
-                del armed[port_id]
+            pkt = pop_head(port_id, port, vc, t)
             if pkt.hop == 0:
                 in_network += 1
                 if not pkt.injected:

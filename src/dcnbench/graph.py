@@ -153,9 +153,13 @@ class Topology:
         )
 
 
-def connected_components(topology: Topology) -> list[list[int]]:
-    """Connected components as sorted node-id lists, over all nodes."""
-    seen = [False] * topology.num_nodes
+def connected_components(
+    topology: Topology, alive: Optional[Sequence[bool]] = None
+) -> list[list[int]]:
+    """Connected components as sorted node-id lists, over all nodes, or over
+    the nodes ``alive`` marks when it is given (dead nodes are left out).
+    """
+    seen = [False] * topology.num_nodes if alive is None else [not a for a in alive]
     comps = []
     for start in range(topology.num_nodes):
         if seen[start]:
@@ -317,11 +321,15 @@ def bfs_distances(topology: Topology, source: int) -> list[int]:
     return dist
 
 
-def bfs_predecessors(topology: Topology, source: int) -> tuple[list[int], list[tuple[int, ...]]]:
+def bfs_predecessors(
+    topology: Topology, source: int, blocked: Iterable[int] = ()
+) -> tuple[list[int], list[tuple[int, ...]]]:
     """Hop distances from ``source`` (-1 if unreachable) and, for every node,
     its neighbours one hop closer to ``source`` in ascending order, repeated
     once per parallel link. These are the node's equal-cost next hops
-    towards ``source``.
+    towards ``source``. Nodes in ``blocked`` (other than ``source``) are
+    never discovered: the search runs on the graph without them, and they
+    come back at -1 with no predecessors.
 
     Each frontier is visited in ascending node order, so the predecessor
     tuples come out sorted without a second adjacency scan. Growing a tuple
@@ -331,6 +339,9 @@ def bfs_predecessors(topology: Topology, source: int) -> tuple[list[int], list[t
     adjacency = topology.adjacency
     dist = [-1] * topology.num_nodes
     preds: list[tuple[int, ...]] = [()] * topology.num_nodes
+    blocked = [v for v in blocked if v != source]
+    for v in blocked:
+        dist[v] = -2  # neither undiscovered (-1) nor on any frontier level
     dist[source] = 0
     frontier = [source]
     d = 0
@@ -340,7 +351,7 @@ def bfs_predecessors(topology: Topology, source: int) -> tuple[list[int], list[t
         for v in frontier:
             for nb, _ in adjacency[v]:
                 dn = dist[nb]
-                if dn < 0:
+                if dn == -1:
                     dist[nb] = d
                     preds[nb] = (v,)
                     nxt.append(nb)
@@ -348,6 +359,8 @@ def bfs_predecessors(topology: Topology, source: int) -> tuple[list[int], list[t
                     preds[nb] += (v,)
         nxt.sort()
         frontier = nxt
+    for v in blocked:
+        dist[v] = -1
     return dist, preds
 
 

@@ -15,7 +15,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import Topology, TopologyError, bfs_distances, host_twin_classes
+from .graph import (
+    Topology,
+    TopologyError,
+    bfs_distances,
+    connected_components,
+    host_twin_classes,
+)
 
 INF = float("inf")
 
@@ -289,8 +295,9 @@ def vertex_disjoint_paths(topology: Topology, a: int, b: int) -> int:
     return int(round(solver.max_flow(2 * a + 1, 2 * b)))
 
 
-def _biconnected_blocks(adj: list[list[int]], alive: list[bool]) -> list[set[int]]:
+def _biconnected_blocks(topology: Topology, alive: list[bool]) -> list[set[int]]:
     """Biconnected components (as vertex sets) of the alive-induced subgraph."""
+    adj = topology.adjacency
     n = len(adj)
     disc = [0] * n
     low = [0] * n
@@ -307,7 +314,7 @@ def _biconnected_blocks(adj: list[list[int]], alive: list[bool]) -> list[set[int
             v, parent, i = work[-1]
             advanced = False
             while i < len(adj[v]):
-                w = adj[v][i]
+                w = adj[v][i][0]
                 i += 1
                 if not alive[w] or w == parent:
                     continue
@@ -347,10 +354,9 @@ def pairs_with_two_disjoint_paths(topology: Topology, alive: list[bool]) -> int:
     nodes. A pair qualifies iff both endpoints share a biconnected component
     of at least 3 vertices.
     """
-    adj = [[nb for nb, _ in entries] for entries in topology.adjacency]
     host_set = set(topology.hosts)
     count = 0
-    for block in _biconnected_blocks(adj, alive):
+    for block in _biconnected_blocks(topology, alive):
         if len(block) < 3:
             continue
         in_block = sum(1 for v in block if v in host_set and alive[v])
@@ -360,22 +366,9 @@ def pairs_with_two_disjoint_paths(topology: Topology, alive: list[bool]) -> int:
 
 def _connected_host_pairs(topology: Topology, alive: list[bool]) -> int:
     host_set = set(topology.hosts)
-    seen = [False] * topology.num_nodes
     total = 0
-    for start in range(topology.num_nodes):
-        if seen[start] or not alive[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        hosts_here = 0
-        while stack:
-            v = stack.pop()
-            if v in host_set:
-                hosts_here += 1
-            for nb, _ in topology.adjacency[v]:
-                if alive[nb] and not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
+    for comp in connected_components(topology, alive):
+        hosts_here = sum(1 for v in comp if v in host_set)
         total += hosts_here * (hosts_here - 1) // 2
     return total
 

@@ -277,27 +277,13 @@ def shortest_route_avoiding(
     """
     if src in forbidden or dst in forbidden:
         return None
-    dist = [-1] * topology.num_nodes
-    dist[dst] = 0
-    frontier = [dst]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for nb, _ in topology.adjacency[v]:
-                if nb in forbidden or dist[nb] >= 0:
-                    continue
-                dist[nb] = dist[v] + 1
-                nxt.append(nb)
-        frontier = nxt
+    dist, preds = bfs_predecessors(topology, dst, forbidden)
     if dist[src] < 0:
         return None
     route = [src]
     cur = src
     while cur != dst:
-        options = sorted(
-            nb for nb, _ in topology.adjacency[cur]
-            if nb not in forbidden and dist[nb] == dist[cur] - 1
-        )
+        options = preds[cur]
         cur = options[rng.randrange(len(options))] if rng and len(options) > 1 else options[0]
         route.append(cur)
     return route

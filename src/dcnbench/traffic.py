@@ -46,14 +46,6 @@ class TrafficPattern:
         return TrafficPattern(PatternKind.PERMUTATION, dict(mapping))
 
 
-PATTERNS_BY_NAME = {
-    "uniform": TrafficPattern.uniform(),
-    "complement": TrafficPattern.complement(),
-    "reverse": TrafficPattern.reverse(),
-    "tornado": TrafficPattern.tornado(),
-}
-
-
 def _require_power_of_two(n: int, pattern: str) -> int:
     bits = n.bit_length() - 1
     if n < 2 or (1 << bits) != n:

@@ -60,6 +60,13 @@ def test_fat_tree_rejects_bad_k():
         build_fat_tree(0)
 
 
+@pytest.mark.parametrize("builder", [build_fat_tree, build_f10])
+def test_fat_tree_family_rejects_hostless_edges(builder):
+    for hosts_per_edge in (0, -1):
+        with pytest.raises(TopologyError):
+            builder(4, hosts_per_edge=hosts_per_edge)
+
+
 def test_fat_tree_hosts_per_edge_override():
     topo = build_fat_tree(4, hosts_per_edge=1)
     assert topo.num_hosts == 8

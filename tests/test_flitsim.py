@@ -1,8 +1,9 @@
 import pytest
 
-from dcnbench.builders import build_preset
+from dcnbench.builders import build_fat_tree, build_preset
 from dcnbench.flitsim import SimConfig, run_simulation
-from dcnbench.graph import bfs_distances
+from dcnbench.graph import TopologyError, bfs_distances
+from dcnbench.traffic import TrafficPattern
 
 
 @pytest.mark.parametrize("rate", [0.05, 1.0])
@@ -33,5 +34,22 @@ def test_zero_load_latency_matches_hop_sum():
     analytic = per_link * sum(links) / len(links)
     assert analytic == pytest.approx(82.0)
     stats = run_simulation(topo, config=config)
+    assert stats.routing_mode == "fat-tree"  # the router "auto" resolved to
     assert stats.dropped == 0
     assert stats.avg_packet_latency == pytest.approx(analytic, rel=0.05)
+
+
+def test_bit_reverse_counts_only_sending_hosts():
+    # hosts 0, 6, 9 and 15 are 4-bit palindromes: bit reverse maps them to themselves
+    config = SimConfig(injection_rate=0.05, sim_cycles=2000, pattern=TrafficPattern.reverse())
+    stats = run_simulation(build_preset("fat-tree-k4"), config=config)
+    assert stats.active_hosts == 12
+    assert stats.dropped == 0
+    assert stats.saturated is False
+
+
+def test_pattern_with_no_sender_rejected():
+    # tornado on two hosts maps each host to itself
+    config = SimConfig(injection_rate=0.5, sim_cycles=100, pattern=TrafficPattern.tornado())
+    with pytest.raises(TopologyError):
+        run_simulation(build_fat_tree(2), config=config)

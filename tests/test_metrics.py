@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -233,6 +234,47 @@ def test_failure_killing_only_switch_disconnects_all():
     assert pairs_with_two_disjoint_paths(topo, alive) == 0
     from dcnbench.metrics import _connected_host_pairs
     assert _connected_host_pairs(topo, alive) == 0
+
+
+def reference_connected_host_pairs(topology, alive):
+    """A DFS over alive nodes that counts hosts per component: the
+    definition the component count must reproduce."""
+    host_set = set(topology.hosts)
+    seen = [False] * topology.num_nodes
+    total = 0
+    for start in range(topology.num_nodes):
+        if seen[start] or not alive[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        hosts_here = 0
+        while stack:
+            v = stack.pop()
+            if v in host_set:
+                hosts_here += 1
+            for nb, _ in topology.adjacency[v]:
+                if alive[nb] and not seen[nb]:
+                    seen[nb] = True
+                    stack.append(nb)
+        total += hosts_here * (hosts_here - 1) // 2
+    return total
+
+
+CONNECTED_CASES = {name: (lambda name=name: build_preset(name)) for name in PRESETS}
+CONNECTED_CASES.update(HAND_BUILT)
+CONNECTED_CASES["isolated_twins"] = isolated_twins
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTED_CASES))
+def test_connected_host_pairs_matches_reference(name):
+    from dcnbench.metrics import _connected_host_pairs
+
+    topo = CONNECTED_CASES[name]()
+    pick = random.Random(name)
+    for _ in range(40):
+        dead = pick.random()
+        alive = [pick.random() >= dead for _ in range(topo.num_nodes)]
+        assert _connected_host_pairs(topo, alive) == reference_connected_host_pairs(topo, alive)
 
 
 def test_failure_experiment_deterministic():

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from dcnbench.graph import Link, Node, NodeKind, Topology, TopologyError, bfs_distances
+from dcnbench.graph import (
+    Link,
+    Node,
+    NodeKind,
+    Topology,
+    TopologyError,
+    bfs_distances,
+    bfs_predecessors,
+)
 from dcnbench.builders import PRESETS, build_bcube, build_dcell, build_f10, build_fat_tree, build_preset
 from dcnbench.routing import (
     bcube_route,
@@ -305,6 +313,74 @@ def test_reroute_errors_when_no_alternative():
 def test_shortest_route_avoiding_none_when_blocked():
     topo = line_topology()
     assert shortest_route_avoiding(topo, 0, 1, {2}) is None
+
+
+def reference_route_avoiding(topology, src, dst, forbidden, rng=None):
+    """A BFS from dst that skips forbidden nodes, then a walk that rescans
+    each node's sorted neighbours one hop closer: the definition the
+    predecessor walk must reproduce, rng draws included."""
+    if src in forbidden or dst in forbidden:
+        return None
+    dist = [-1] * topology.num_nodes
+    dist[dst] = 0
+    frontier = [dst]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for nb, _ in topology.adjacency[v]:
+                if nb in forbidden or dist[nb] >= 0:
+                    continue
+                dist[nb] = dist[v] + 1
+                nxt.append(nb)
+        frontier = nxt
+    if dist[src] < 0:
+        return None
+    route = [src]
+    cur = src
+    while cur != dst:
+        options = sorted(
+            nb for nb, _ in topology.adjacency[cur]
+            if nb not in forbidden and dist[nb] == dist[cur] - 1
+        )
+        cur = options[rng.randrange(len(options))] if rng and len(options) > 1 else options[0]
+        route.append(cur)
+    return route
+
+
+AVOIDING_CASES = {"f10-k4": lambda: build_f10(4), "fat-tree-k4": lambda: build_fat_tree(4)}
+AVOIDING_CASES.update(HAND_BUILT)
+
+
+@pytest.mark.parametrize("name", sorted(AVOIDING_CASES))
+def test_shortest_route_avoiding_matches_reference(name):
+    topo = AVOIDING_CASES[name]()
+    pick = random.Random(name)
+    nodes = range(topo.num_nodes)
+    for trial in range(150):
+        src, dst = pick.sample(nodes, 2)
+        forbidden = set(pick.sample(nodes, pick.randrange(topo.num_nodes // 3 + 1)))
+        if trial % 3 == 0:
+            forbidden -= {src, dst}
+        want = reference_route_avoiding(topo, src, dst, forbidden)
+        assert shortest_route_avoiding(topo, src, dst, forbidden) == want
+        ours, theirs = random.Random(trial), random.Random(trial)
+        want = reference_route_avoiding(topo, src, dst, forbidden, theirs)
+        assert shortest_route_avoiding(topo, src, dst, forbidden, ours) == want
+        assert ours.random() == theirs.random()  # same number of draws
+
+
+@pytest.mark.parametrize("name", sorted(AVOIDING_CASES))
+def test_bfs_predecessors_skips_blocked_nodes(name):
+    topo = AVOIDING_CASES[name]()
+    pick = random.Random(name)
+    for _ in range(20):
+        source = pick.randrange(topo.num_nodes)
+        blocked = set(pick.sample(range(topo.num_nodes), topo.num_nodes // 4)) - {source}
+        dist, preds = bfs_predecessors(topo, source, blocked)
+        for v in blocked:
+            assert dist[v] == -1 and preds[v] == ()
+            assert all(v not in p for p in preds)
+        assert bfs_predecessors(topo, source, ()) == bfs_predecessors(topo, source)
 
 
 # --- provider dispatch -------------------------------------------------------
