@@ -132,7 +132,9 @@ class _Port:
 def _active_hosts_and_bits(
     topology: Topology, pattern: TrafficPattern
 ) -> tuple[list[int], int, int]:
-    """Hosts that send under the pattern, the traffic size N, and bit width.
+    """Indices (into ``topology.hosts``) of the hosts that send under the
+    pattern, the traffic size N, and bit width. Patterns map host indices,
+    not node ids, so hosts need not be nodes 0..H-1.
 
     Bit patterns on a non-power-of-two host count run over the largest
     power-of-two host subset (lowest host indices). A host that a
@@ -145,16 +147,14 @@ def _active_hosts_and_bits(
         raise TopologyError("simulation needs at least two hosts")
     kind = pattern.kind
     if kind is PatternKind.UNIFORM_RANDOM:
-        return hosts, H, 0
+        return list(range(H)), H, 0
     n, bits = H, 0
     if kind in (PatternKind.BIT_COMPLEMENT, PatternKind.BIT_REVERSE):
         bits = H.bit_length() - 1
         n = 1 << bits
     if kind is PatternKind.PERMUTATION and not pattern.mapping:
         raise TopologyError("permutation pattern maps no hosts")
-    active = [
-        h for h in hosts[:n] if pattern_destination(pattern, h, n, bits=bits) not in (None, h)
-    ]
+    active = [i for i in range(n) if pattern_destination(pattern, i, n, bits=bits) not in (None, i)]
     if not active:
         raise TopologyError(f"no host sends under the {kind.value} pattern")
     return active, n, bits
@@ -175,7 +175,8 @@ def run_simulation(
     provider = route_provider(topology, routing_mode)
     rng = random.Random(config.seed)
     pattern = config.pattern
-    active_hosts, traffic_n, bits = _active_hosts_and_bits(topology, pattern)
+    hosts = topology.hosts
+    active, traffic_n, bits = _active_hosts_and_bits(topology, pattern)
     warmup = config.resolved_warmup()
     sim_cycles = config.sim_cycles
     pipeline = config.router_pipeline
@@ -183,6 +184,7 @@ def run_simulation(
     flit_size = config.flits_per_packet
     drop_mode = config.drop_and_retransmit
     rate = config.injection_rate
+    hop_cycles = pipeline + link_latency + flit_size - 1  # zero-load cycles per hop
 
     num_nodes = topology.num_nodes
     num_links = len(topology.links)
@@ -223,6 +225,7 @@ def run_simulation(
     busy_until: dict[int, int] = {}
 
     stats_generated = 0
+    stats_due_window = 0  # generated packets whose zero-load arrival falls in the window
     stats_injected_unique = 0
     stats_injected_window = 0
     stats_received = 0
@@ -300,12 +303,15 @@ def run_simulation(
             port.ready.append(vc)
             armed[port_id] = True
         # injection
-        for h in active_hosts:
+        for i in active:
             if rng.random() >= rate:
                 continue
-            dst = pattern_destination(pattern, h, traffic_n, bits=bits, rng=rng)
+            h = hosts[i]
+            dst = hosts[pattern_destination(pattern, i, traffic_n, bits=bits, rng=rng)]
             stats_generated += 1
             pkt = _Packet(h, dst, provider(h, dst, rng), t)
+            if warmup <= t + (len(pkt.path) - 1) * hop_cycles < sim_cycles:
+                stats_due_window += 1
             enqueue_source(pkt, t)
         # switch allocation, phase A: one creditable VC head per input port
         requests: dict[int, list] = {}
@@ -382,11 +388,11 @@ def run_simulation(
             )
 
     measured = sim_cycles - warmup
-    reception_rate = stats_received_window / len(active_hosts) / measured
+    reception_rate = stats_received_window / len(active) / measured
     source_queued = sum(
-        len(ports[2 * num_links + h].vcs[0])
-        for h in active_hosts
-        if (2 * num_links + h) in ports
+        len(ports[2 * num_links + hosts[i]].vcs[0])
+        for i in active
+        if (2 * num_links + hosts[i]) in ports
     )
     util: dict[int, float] = {}
     for i in range(num_links):
@@ -401,7 +407,7 @@ def run_simulation(
         injection_rate=rate,
         sim_cycles=sim_cycles,
         warmup_cycles=warmup,
-        active_hosts=len(active_hosts),
+        active_hosts=len(active),
         packets_generated=stats_generated,
         packets_injected=stats_injected_unique,
         packets_received=stats_received,
@@ -415,7 +421,10 @@ def run_simulation(
         if stats_received_window
         else 0.0,
         per_link_utilization=util,
-        saturated=reception_rate < 0.95 * rate,
+        # against the packets drawn that an idle network would deliver in the
+        # window, not the nominal rate: neither Bernoulli sampling noise nor a
+        # warmup shorter than the path latency then reads as saturation
+        saturated=stats_received_window < 0.95 * stats_due_window,
     )
 
 
@@ -427,7 +436,8 @@ def sweep_injection(
     config: SimConfig,
 ) -> list[tuple[float, SimStats]]:
     """Independent seeded simulations per rate; each point's ``saturated``
-    flag marks reception falling under 95% of the offered rate.
+    flag marks reception in the measurement window falling under 95% of the
+    packets that an idle network would have delivered in it.
     """
     if not rates:
         raise TopologyError("rates list is empty")

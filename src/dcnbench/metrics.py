@@ -3,13 +3,22 @@ disjoint paths, and switch-failure experiments.
 
 Bisection bandwidth follows the survey's definition: the minimum, over
 balanced host bipartitions, of the capacity that must be cut to separate the
-two host sets. Exact computation brute-forces all balanced partitions (guarded
-by host count); the heuristic runs a randomized swap descent over partitions
-and therefore always reports an upper bound on the true minimum.
+two host sets; each partition's cut is a max-flow between its two host sets.
+
+- Exact (guarded by host count): hosts whose ``(neighbour, capacity)`` lists
+  are equal can be swapped without changing any cut, so the brute force
+  enumerates how many hosts of each such class sit on side A rather than
+  which ones, and evaluates one partition per count vector.
+- Heuristic: Fiduccia-Mattheyses refinement moving whole nodes (switches
+  freely, hosts within one of balance) from seeded random starts, each
+  result evaluated by max-flow. Every value it reports is the cut of a real
+  balanced host partition, so it is an upper bound: it can only overstate
+  the bisection bandwidth, never understate it.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -183,13 +192,65 @@ def _partition_cut_solver(topology: Topology):
     return cut_value
 
 
+def _capacity_twin_classes(topology: Topology) -> list[list[int]]:
+    """Hosts grouped by their sorted ``(neighbour, capacity)`` list: the
+    classes of :func:`host_twin_classes` split by link capacity.
+
+    Those classes never hold a self-looped host with another, so members of
+    one class are pairwise non-adjacent, and swapping two of them maps the
+    capacitated graph onto itself.
+    """
+    adjacency = topology.adjacency
+    links = topology.links
+    classes: list[list[int]] = []
+    for _, members in host_twin_classes(topology):
+        split: dict = {}
+        for h in members:
+            key = tuple(sorted((nb, links[idx].capacity) for nb, idx in adjacency[h]))
+            split.setdefault(key, []).append(h)
+        classes.extend(split.values())
+    return classes
+
+
+def _balanced_sides(classes: list[list[int]], size: int, halve: bool) -> list[list[int]]:
+    """One side A of ``size`` hosts per vector of per-class host counts
+    (the first ``counts[i]`` members of ``classes[i]``), in lexicographic
+    order of the vectors. With ``halve``, a vector whose complement
+    (``len(classes[i]) - counts[i]``) is lexicographically smaller is left
+    out: it describes the same partition with the sides swapped.
+    """
+    room = list(itertools.accumulate(len(m) for m in reversed(classes)))[::-1] + [0]
+    sides: list[list[int]] = []
+    side: list[int] = []
+
+    def fill(i: int, left: int, tied: bool) -> None:
+        # tied: counts[:i] equals its complement, so counts[i] may not exceed its own
+        if i == len(classes):
+            sides.append(list(side))
+            return
+        n = len(classes[i])
+        for c in range(max(0, left - room[i + 1]), min(n, left, n // 2 if tied else n) + 1):
+            side.extend(classes[i][:c])
+            fill(i + 1, left - c, tied and 2 * c == n)
+            del side[len(side) - c:]
+
+    fill(0, size, halve)
+    return sides
+
+
 def bisection_bandwidth_exact(topology: Topology, max_hosts: int = 16) -> float:
     """Minimum cut capacity over all balanced host bipartitions, by brute
-    force over partitions with a max-flow evaluation each. Guarded by
-    ``max_hosts`` since the partition count is combinatorial.
+    force with a max-flow evaluation each. Guarded by ``max_hosts`` since
+    the partition count is combinatorial.
+
+    Hosts with equal ``(neighbour, capacity)`` lists are interchangeable
+    (see :func:`_capacity_twin_classes`), so a partition's cut depends only
+    on how many hosts of each class it puts on side A. The search runs over
+    those count vectors, one max-flow each; with an even host count a vector
+    and its complement are the same partition, and only the lexicographically
+    smaller of the two is evaluated.
     """
-    hosts = topology.hosts
-    H = len(hosts)
+    H = topology.num_hosts
     if H < 2:
         raise TopologyError("bisection needs at least two hosts")
     if H > max_hosts:
@@ -198,56 +259,132 @@ def bisection_bandwidth_exact(topology: Topology, max_hosts: int = 16) -> float:
             "use bisection_bandwidth_heuristic"
         )
     cut_value = _partition_cut_solver(topology)
-    side = H // 2
     best = INF
-    rest = hosts[1:]
-    if H % 2 == 0:
-        # fix hosts[0] on side A so each unordered partition is seen once
-        combos = (set(combo) | {hosts[0]} for combo in itertools.combinations(rest, side - 1))
-    else:
-        combos = (set(combo) for combo in itertools.combinations(hosts, side))
-    for side_a in combos:
+    for side_a in _balanced_sides(_capacity_twin_classes(topology), H // 2, H % 2 == 0):
         value = cut_value(side_a, limit=best)
         if value < best:
             best = value
     return best
 
 
+def _fm_refine(
+    weighted: list[list[tuple[int, float]]],
+    is_host: list[bool],
+    side: list[int],
+    target: int,
+) -> None:
+    """Fiduccia-Mattheyses passes over the node partition ``side`` (1 on
+    side A, which holds exactly ``target`` hosts), in place, until a pass
+    gains nothing.
+
+    A pass moves every node at most once, always the movable node of
+    highest gain (cut capacity removed by the move), and among equal gains
+    the one whose gain changed last: the LIFO order that Hagen, Huang and
+    Kahng (1997) found to refine best. Switches move freely; a host moves
+    only while side A's host count stays within one of ``target``. Each move
+    updates its unlocked neighbours' gains, and the pass then rolls back to
+    its best prefix whose host count is exactly ``target``.
+    """
+    n = len(side)
+    eps = 1e-12
+    stamp = itertools.count()
+
+    def heap_of(v: int) -> int:  # 0: switches, 1: hosts on B, 2: hosts on A
+        return 1 + side[v] if is_host[v] else 0
+
+    while True:
+        count = target  # a pass starts, and rolls back to, a balanced partition
+        gain = [0.0] * n
+        for v in range(n):
+            for nb, cap in weighted[v]:
+                gain[v] += cap if side[nb] != side[v] else -cap
+        heaps: list[list[tuple[float, int, int]]] = [[], [], []]  # lazy, of (-gain, -stamp, node)
+        for v in range(n):
+            heaps[heap_of(v)].append((-gain[v], -next(stamp), v))
+        for heap in heaps:
+            heapq.heapify(heap)
+        locked = [False] * n
+        moves: list[int] = []
+        total = best = 0.0
+        best_len = 0
+        while True:
+            movable = [heaps[0]]
+            if count <= target:
+                movable.append(heaps[1])
+            if count >= target:
+                movable.append(heaps[2])
+            pick = None
+            for heap in movable:
+                while heap and (locked[heap[0][2]] or -heap[0][0] != gain[heap[0][2]]):
+                    heapq.heappop(heap)
+                if heap and (pick is None or heap[0] < pick[0]):
+                    pick = heap
+            if pick is None:
+                break
+            v = heapq.heappop(pick)[2]
+            locked[v] = True
+            moves.append(v)
+            total += gain[v]
+            side[v] ^= 1
+            if is_host[v]:
+                count += 1 if side[v] else -1
+            for nb, cap in weighted[v]:
+                if not locked[nb]:
+                    gain[nb] += -2 * cap if side[nb] == side[v] else 2 * cap
+                    heapq.heappush(heaps[heap_of(nb)], (-gain[nb], -next(stamp), nb))
+            if count == target and total > best + eps:
+                best, best_len = total, len(moves)
+        for v in moves[best_len:]:
+            side[v] ^= 1
+        if best_len == 0:
+            return
+
+
 def bisection_bandwidth_heuristic(
     topology: Topology, restarts: int = 8, seed: int = 0
 ) -> float:
-    """Best balanced-partition cut found by randomized swap descent.
+    """Smallest balanced-partition cut found by Fiduccia-Mattheyses
+    refinement of whole nodes, an upper bound on the exact bisection
+    bandwidth: it can only be too high, never too low.
 
-    Reports the minimum cut over the partitions it visits, hence always an
-    upper bound on (and often equal to) the exact bisection bandwidth.
+    Each restart samples half the hosts for side A (seeded by ``seed`` and
+    the restart index), puts each switch on the side that holds more of its
+    host-link capacity, and refines that node partition with
+    :func:`_fm_refine`, keeping side A's host count at ``H // 2``. The
+    refined host partition is then evaluated once by max-flow, which places
+    the switches optimally, so the value is at most the refined node cut and
+    is still the cut of a real balanced host partition.
     """
     hosts = topology.hosts
     H = len(hosts)
     if H < 2:
         raise TopologyError("bisection needs at least two hosts")
+    if restarts < 1:
+        raise TopologyError(f"restarts must be >= 1, got {restarts}")
     cut_value = _partition_cut_solver(topology)
-    side = H // 2
+    n = topology.num_nodes
+    weighted: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for link in topology.links:
+        if link.a != link.b:
+            weighted[link.a].append((link.b, link.capacity))
+            weighted[link.b].append((link.a, link.capacity))
+    is_host = [node.is_host for node in topology.nodes]
     best = INF
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         rng = random.Random(seed * 100_003 + restart)
-        side_a = set(rng.sample(hosts, side))
-        current = cut_value(side_a)
-        improved = True
-        while improved:
-            improved = False
-            outside = [h for h in hosts if h not in side_a]
-            for a in sorted(side_a):
-                for b in outside:
-                    trial = (side_a - {a}) | {b}
-                    value = cut_value(trial, limit=current)
-                    if value < current - 1e-12:
-                        side_a, current = trial, value
-                        improved = True
-                        break
-                if improved:
-                    break
-        if current < best:
-            best = current
+        side = [0] * n
+        for h in rng.sample(hosts, H // 2):
+            side[h] = 1
+        for v in topology.switches:
+            host_cap = [0.0, 0.0]
+            for nb, cap in weighted[v]:
+                if is_host[nb]:
+                    host_cap[side[nb]] += cap
+            side[v] = 1 if host_cap[1] > host_cap[0] else 0
+        _fm_refine(weighted, is_host, side, H // 2)
+        value = cut_value([h for h in hosts if side[h]], limit=best)
+        if value < best:
+            best = value
     return best
 
 

@@ -1,8 +1,9 @@
 """Hand-built topologies for the twin-class edge cases that no builder makes.
 
 Twin hosts are hosts with the same sorted neighbour list; path metrics and
-ECMP tables run one BFS per twin class, so these cases pin down where that
-shortcut could go wrong.
+ECMP tables run one BFS per twin class, and exact bisection enumerates
+per-class host counts, so these cases pin down where those shortcuts could
+go wrong.
 """
 
 from dcnbench.graph import Link, Node, NodeKind, Topology
@@ -36,6 +37,14 @@ def self_loop_pair():
     return _topology(3, 1, [(0, 0), (1, 1), (0, 1), (1, 0), (0, 3), (1, 3), (2, 3)])
 
 
+def capacity_twins():
+    """Hosts 0-3 share switch 4 over links of capacity 3, 2, 2 and 3: twins
+    by neighbour list, not by capacity. The bisection is 4 (hosts 0 and 3
+    against 1 and 2); treating all four as one class gives 5."""
+    nodes = [Node(i, NodeKind.HOST, 8) for i in range(4)] + [Node(4, NodeKind.SWITCH, 16)]
+    return Topology(nodes, [Link(h, 4, cap) for h, cap in enumerate((3.0, 2.0, 2.0, 3.0))])
+
+
 def isolated_twins():
     """Hosts 0 and 1 have no links (twins with no neighbours); hosts 2 and
     3 share switch 4."""
@@ -46,4 +55,5 @@ HAND_BUILT = {
     "duplicate_host_links": duplicate_host_links,
     "multihomed_twins": multihomed_twins,
     "self_loop_pair": self_loop_pair,
+    "capacity_twins": capacity_twins,
 }

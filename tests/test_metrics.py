@@ -13,8 +13,10 @@ from dcnbench.builders import (
     build_preset,
     build_scafida,
 )
+from dcnbench import metrics
 from dcnbench.metrics import (
     MetricsReport,
+    _partition_cut_solver,
     avg_host_path,
     bisection_bandwidth_exact,
     bisection_bandwidth_heuristic,
@@ -150,6 +152,76 @@ def test_heuristic_upper_bounds_exact(seed):
     exact = bisection_bandwidth_exact(topo)
     heuristic = bisection_bandwidth_heuristic(topo, restarts=8, seed=seed)
     assert heuristic >= exact - 1e-9
+
+
+def reference_bisection(topology):
+    """Max-flow over every balanced host subset: the definition the
+    twin-count enumeration must reproduce."""
+    hosts = topology.hosts
+    cut_value = _partition_cut_solver(topology)
+    if len(hosts) % 2 == 0:
+        rest = itertools.combinations(hosts[1:], len(hosts) // 2 - 1)
+        combos = ({hosts[0], *combo} for combo in rest)
+    else:
+        combos = itertools.combinations(hosts, len(hosts) // 2)
+    best = float("inf")
+    for side_a in combos:
+        best = min(best, cut_value(side_a, limit=best))
+    return best
+
+
+# most preset builders ignore the seed: run the brute force once per topology
+_reference_cuts = {}
+
+
+def cached_reference_bisection(topology):
+    key = (tuple(topology.hosts), topology.links)
+    if key not in _reference_cuts:
+        _reference_cuts[key] = reference_bisection(topology)
+    return _reference_cuts[key]
+
+
+def odd_dumbbell():
+    """Hosts 0 and 1 on switch 5, hosts 2-4 on switch 6, one unit link between."""
+    nodes = [Node(i, NodeKind.HOST, 1) for i in range(5)]
+    nodes += [Node(5, NodeKind.SWITCH, 8), Node(6, NodeKind.SWITCH, 8)]
+    links = [Link(0, 5), Link(1, 5), Link(2, 6), Link(3, 6), Link(4, 6), Link(5, 6)]
+    return Topology(nodes, links)
+
+
+BISECTION_CASES = {
+    f"{name}@{seed}": (lambda name=name, seed=seed: build_preset(name, seed), seed)
+    for name in PRESETS
+    for seed in range(5)
+    if build_preset(name, seed).num_hosts <= 16
+}
+BISECTION_CASES.update((name, (build, 0)) for name, build in HAND_BUILT.items())
+BISECTION_CASES.update(odd_dumbbell=(odd_dumbbell, 0), star5=(lambda: star(5), 0))
+
+
+@pytest.mark.parametrize("name", sorted(BISECTION_CASES))
+def test_bisection_exact_and_heuristic_match_reference(name):
+    build, seed = BISECTION_CASES[name]
+    topo = build()
+    exact = bisection_bandwidth_exact(topo)
+    assert exact == cached_reference_bisection(topo)
+    assert bisection_bandwidth_heuristic(topo, restarts=8, seed=seed) == exact
+
+
+def test_heuristic_closes_jellyfish_gap():
+    # moving one host at a time stops at a cut of 75 here
+    topo = build_jellyfish(50, 8, 5, 0)
+    assert bisection_bandwidth_heuristic(topo, restarts=1, seed=0) <= 40
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_heuristic_rejects_bad_restarts(monkeypatch, restarts):
+    def no_solver(topology):
+        raise AssertionError("solver built before restarts was checked")
+
+    monkeypatch.setattr(metrics, "_partition_cut_solver", no_solver)
+    with pytest.raises(TopologyError):
+        bisection_bandwidth_heuristic(build_fat_tree(4), restarts=restarts)
 
 
 # --- over-subscription ----------------------------------------------------
