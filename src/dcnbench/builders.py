@@ -320,21 +320,19 @@ def build_facebook_fabric(
 # DCell
 
 
-def dcell_host_count(n: int, level: int) -> int:
-    """Host count t_level of DCell(n, level): t_0 = n, t_l = t_{l-1}*(t_{l-1}+1)."""
+def _dcell_t_list(n: int, level: int) -> list[int]:
+    """Host counts t_0..t_level of DCell(n, level): t_0 = n, t_l = t_{l-1}*(t_{l-1}+1)."""
     if n < 2 or level < 0:
         raise TopologyError(f"dcell requires n >= 2 and level >= 0, got n={n}, level={level}")
-    t = n
-    for _ in range(level):
-        t = t * (t + 1)
-    return t
-
-
-def _dcell_t_list(n: int, level: int) -> list[int]:
     ts = [n]
     for _ in range(level):
         ts.append(ts[-1] * (ts[-1] + 1))
     return ts
+
+
+def dcell_host_count(n: int, level: int) -> int:
+    """Host count t_level of DCell(n, level)."""
+    return _dcell_t_list(n, level)[-1]
 
 
 def build_dcell(n: int, level: int) -> Topology:
@@ -436,13 +434,17 @@ def _bcube_parts(n: int, k: int):
     return nodes, links
 
 
+def _check_bcube_params(n: int, k: int) -> None:
+    if n < 2 or k < 0:
+        raise TopologyError(f"bcube requires n >= 2 and k >= 0, got n={n}, k={k}")
+
+
 def build_bcube(n: int, k: int) -> Topology:
     """BCube(n, k): n^(k+1) hosts addressed by k+1 base-n digits; the level-i
     switch for each digit combination joins the n hosts differing only in
     digit i. (k+1)*n^k switches total.
     """
-    if n < 2 or k < 0:
-        raise TopologyError(f"bcube requires n >= 2 and k >= 0, got n={n}, k={k}")
+    _check_bcube_params(n, k)
     num_hosts = n ** (k + 1)
     _check_cap(num_hosts + (k + 1) * n**k, f"bcube(n={n}, k={k})")
     nodes, links = _bcube_parts(n, k)
@@ -461,6 +463,7 @@ def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
     """
     if rows < 1 or cols < 1:
         raise TopologyError("mdcube requires rows, cols >= 1")
+    _check_bcube_params(n, k)
     per_hosts = n ** (k + 1)
     per_switches = (k + 1) * n**k
     containers = rows * cols
@@ -723,6 +726,8 @@ def build_scafida(
         raise TopologyError("max_degree must be >= 2")
     if num_switches < 1:
         raise TopologyError("need at least one switch")
+    if num_hosts < 0:
+        raise TopologyError(f"num_hosts must be >= 0, got {num_hosts}")
     _check_cap(num_switches + num_hosts, "scafida")
     rng = random.Random(seed)
     host_cap = min(host_links, max_degree)

@@ -1,17 +1,19 @@
 """Cycle-level flit simulator for off-chip topologies.
 
-Models the survey's gem5/garnet methodology at desk scale: pipelined routers
-(5-cycle default), 10-cycle links, many virtual channels per input port,
-single-flit packets, Bernoulli injection, and drop-and-retransmit when a
-packet's next-hop buffer pool is full. Hosts are routers too, so
-server-centric topologies forward through hosts with the same pipeline.
+Models the survey's gem5/garnet methodology at desk scale, with one model:
+pipelined routers (5-cycle default), links of one latency (10 cycles by
+default), single-flit packets, Bernoulli injection, and per input port a
+bounded pool of ``vcs_per_port`` virtual channels of ``vc_depth`` packets
+each. Hosts are routers too, so server-centric topologies forward through
+hosts with the same pipeline. Each source queues its packets in one
+unbounded injection queue.
 
 Switch allocation is separable and round-robin like garnet's: each input port
 puts forward at most one VC head per cycle, each output port grants at most
-one flit per cycle, and a flit departs only when the downstream input port
-has buffer space (ejection at the destination is never blocked). With
-drop-and-retransmit enabled, a head whose next-hop pool is full is dropped
-and re-enters its source queue after a link-latency backoff.
+one packet per cycle, and a packet departs only when the downstream input
+port's pool has space (ejection at the destination is never blocked). A
+head whose next-hop pool is full is dropped and re-enters its source queue
+after a link-latency backoff.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ class SimConfig:
     vcs_per_port: int = 100
     router_pipeline: int = 5
     link_latency: int = 10
-    vc_depth: Optional[int] = 4  # None = unbounded buffers
-    flits_per_packet: int = 1
-    drop_and_retransmit: bool = True
+    vc_depth: int = 4  # packets per VC
     pattern: TrafficPattern = field(default_factory=TrafficPattern.uniform)
     seed: int = 0
 
@@ -52,12 +52,10 @@ class SimConfig:
             raise TopologyError("injection_rate must be in (0, 1]")
         if self.sim_cycles <= 0 or self.resolved_warmup() >= self.sim_cycles:
             raise TopologyError("need warmup_cycles < sim_cycles")
-        if self.vcs_per_port < 1 or self.router_pipeline < 0 or self.link_latency < 1:
-            raise TopologyError("bad pipeline/link/vc parameters")
-        if self.flits_per_packet < 1:
-            raise TopologyError("flits_per_packet must be >= 1")
-        if self.vc_depth is not None and self.vc_depth < 1:
-            raise TopologyError("vc_depth must be >= 1 or None")
+        if self.vcs_per_port < 1 or self.vc_depth < 1:
+            raise TopologyError("vcs_per_port and vc_depth must be >= 1")
+        if self.router_pipeline < 0 or self.link_latency < 1:
+            raise TopologyError("bad pipeline/link parameters")
 
 
 @dataclass
@@ -70,6 +68,7 @@ class SimStats:
     warmup_cycles: int
     active_hosts: int
     packets_generated: int
+    packets_due_window: int  # generated packets whose zero-load arrival falls in the window
     packets_injected: int
     packets_received: int
     dropped: int
@@ -81,21 +80,6 @@ class SimStats:
     avg_packet_latency: float
     per_link_utilization: dict[int, float]
     saturated: bool
-
-    def csv_row(self, vcs: int) -> str:
-        return (
-            f"{self.topology},{self.pattern},{self.injection_rate:.4f},{vcs},"
-            f"{self.sim_cycles},{self.packets_injected},{self.packets_received},"
-            f"{self.reception_rate:.6f},{self.avg_packet_latency:.3f},"
-            f"{self.dropped},{int(self.saturated)}"
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return (
-            "topology,pattern,rate,vcs,cycles,injected,received,"
-            "reception_rate,avg_latency,dropped,saturated"
-        )
 
 
 class _Packet:
@@ -112,21 +96,21 @@ class _Packet:
 
 
 class _Port:
-    """Input-port buffer pool: vcs_per_port VCs of vc_depth flits each."""
+    """Input-port VCs and ``pool``, the packets they hold or have reserved.
 
-    __slots__ = ("vcs", "pool", "capacity", "depth", "ready", "open_vcs", "is_open")
+    A link port has vcs_per_port VCs sharing a pool of vcs_per_port *
+    vc_depth packets; an injection port has one VC whose pool is never
+    checked, so a source queue is unbounded.
+    """
 
-    def __init__(self, vcs: int, depth: Optional[int], flit_size: int):
+    __slots__ = ("vcs", "pool", "ready", "open_vcs", "is_open")
+
+    def __init__(self, vcs: int):
         self.vcs = [deque() for _ in range(vcs)]
         self.pool = 0
-        self.capacity = None if depth is None else vcs * depth * flit_size
-        self.depth = depth
         self.ready = deque()  # vc indices whose head is ready for allocation
         self.open_vcs = deque(range(vcs))
         self.is_open = bytearray([1]) * vcs
-
-    def has_space(self, flit_size: int) -> bool:
-        return self.capacity is None or self.pool + flit_size <= self.capacity
 
 
 def _active_hosts_and_bits(
@@ -171,6 +155,13 @@ def run_simulation(
     if config is None:
         raise TopologyError("run_simulation needs a SimConfig")
     config.check()
+    # every channel takes config.link_latency cycles; refuse links that say otherwise
+    for idx, link in enumerate(topology.links):
+        if link.latency != config.link_latency:
+            raise TopologyError(
+                f"link {idx} has latency {link.latency}, but the simulator gives "
+                f"every link config.link_latency={config.link_latency}"
+            )
     routing_mode = resolve_routing_mode(topology, routing_mode)
     provider = route_provider(topology, routing_mode)
     rng = random.Random(config.seed)
@@ -181,10 +172,10 @@ def run_simulation(
     sim_cycles = config.sim_cycles
     pipeline = config.router_pipeline
     link_latency = config.link_latency
-    flit_size = config.flits_per_packet
-    drop_mode = config.drop_and_retransmit
+    vc_depth = config.vc_depth
+    pool_capacity = config.vcs_per_port * vc_depth
     rate = config.injection_rate
-    hop_cycles = pipeline + link_latency + flit_size - 1  # zero-load cycles per hop
+    hop_cycles = pipeline + link_latency  # zero-load cycles per hop
 
     num_nodes = topology.num_nodes
     num_links = len(topology.links)
@@ -210,11 +201,7 @@ def run_simulation(
     def get_port(port_id: int) -> _Port:
         port = ports.get(port_id)
         if port is None:
-            if port_id >= 2 * num_links:  # injection: one unbounded queue
-                port = _Port(1, None, flit_size)
-            else:
-                port = _Port(config.vcs_per_port, config.vc_depth, flit_size)
-            ports[port_id] = port
+            port = ports[port_id] = _Port(1 if port_id >= 2 * num_links else config.vcs_per_port)
         return port
 
     arrivals: dict[int, list] = {}
@@ -222,12 +209,10 @@ def run_simulation(
     requeues: dict[int, list] = {}
     armed: dict[int, bool] = {}
     rr_out: dict[int, int] = {}
-    busy_until: dict[int, int] = {}
 
     stats_generated = 0
-    stats_due_window = 0  # generated packets whose zero-load arrival falls in the window
+    stats_due_window = 0
     stats_injected_unique = 0
-    stats_injected_window = 0
     stats_received = 0
     stats_received_window = 0
     stats_dropped = 0
@@ -245,6 +230,7 @@ def run_simulation(
         port = get_port(port_id)
         pkt.base_t = now
         pkt.hop = 0
+        port.pool += 1
         q = port.vcs[0]
         q.append(pkt)
         if len(q) == 1:
@@ -255,11 +241,10 @@ def run_simulation(
         schedule the next head, and disarm the port if nothing is ready."""
         q = port.vcs[vc]
         pkt = q.popleft()
-        if port.capacity is not None:
-            port.pool -= flit_size
-            if not port.is_open[vc]:
-                port.is_open[vc] = 1
-                port.open_vcs.append(vc)
+        port.pool -= 1
+        if not port.is_open[vc]:
+            port.is_open[vc] = 1
+            port.open_vcs.append(vc)
         if q:
             schedule_ready(port_id, vc, max(now + 1, q[0].base_t + pipeline))
         if not port.ready and port_id in armed:
@@ -271,7 +256,7 @@ def run_simulation(
         while True:
             vc = port.open_vcs[0]
             q = port.vcs[vc]
-            if port.depth is None or len(q) < port.depth:
+            if len(q) < vc_depth:
                 break
             port.open_vcs.popleft()
             port.is_open[vc] = 0
@@ -332,9 +317,7 @@ def run_simulation(
                 pkt = port.vcs[vc][0]
                 nxt = pkt.path[pkt.hop + 1]
                 chan = out_chan[node][nxt]
-                if busy_until.get(chan, 0) > t:
-                    continue
-                if nxt == pkt.dst or get_port(chan).has_space(flit_size):
+                if nxt == pkt.dst or get_port(chan).pool < pool_capacity:
                     chosen, chosen_chan = vc, chan
                     break
                 if len(scanned) == 1:
@@ -343,7 +326,7 @@ def run_simulation(
                 ready.appendleft(vc)
             if chosen >= 0:
                 requests.setdefault(chosen_chan, []).append((port_id, chosen))
-            elif drop_mode and front_pool_full:
+            elif front_pool_full:
                 # head-of-line packet's next hop is full: drop and retransmit
                 pkt = pop_head(port_id, port, ready.popleft(), t)
                 stats_dropped += 1
@@ -373,19 +356,13 @@ def run_simulation(
                 if not pkt.injected:
                     pkt.injected = True
                     stats_injected_unique += 1
-                    if t >= warmup:
-                        stats_injected_window += 1
             pkt.hop += 1
             nxt = pkt.path[pkt.hop]
             if nxt != pkt.dst:
-                ports[chan].pool += flit_size
-            if flit_size > 1:
-                busy_until[chan] = t + flit_size
+                ports[chan].pool += 1
             if t >= warmup:
                 departures[chan] = departures.get(chan, 0) + 1
-            arrivals.setdefault(t + link_latency + flit_size - 1, []).append(
-                (pkt, nxt, chan)
-            )
+            arrivals.setdefault(t + link_latency, []).append((pkt, nxt, chan))
 
     measured = sim_cycles - warmup
     reception_rate = stats_received_window / len(active) / measured
@@ -399,7 +376,7 @@ def run_simulation(
         fwd = departures.get(2 * i, 0)
         rev = departures.get(2 * i + 1, 0)
         if fwd or rev:
-            util[i] = max(fwd, rev) * flit_size / measured
+            util[i] = max(fwd, rev) / measured
     return SimStats(
         topology=topology.name(),
         pattern=pattern.kind.value,
@@ -409,6 +386,7 @@ def run_simulation(
         warmup_cycles=warmup,
         active_hosts=len(active),
         packets_generated=stats_generated,
+        packets_due_window=stats_due_window,
         packets_injected=stats_injected_unique,
         packets_received=stats_received,
         dropped=stats_dropped,
@@ -421,9 +399,10 @@ def run_simulation(
         if stats_received_window
         else 0.0,
         per_link_utilization=util,
-        # against the packets drawn that an idle network would deliver in the
-        # window, not the nominal rate: neither Bernoulli sampling noise nor a
-        # warmup shorter than the path latency then reads as saturation
+        # against packets_due_window, the packets drawn that an idle network
+        # would deliver in the window, not the nominal rate: neither Bernoulli
+        # sampling noise nor a warmup shorter than the path latency then reads
+        # as saturation
         saturated=stats_received_window < 0.95 * stats_due_window,
     )
 

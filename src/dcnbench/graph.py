@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_CAPACITY = 1.0
@@ -121,21 +122,21 @@ class Topology:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def hosts(self) -> list[int]:
-        return [n.id for n in self.nodes if n.kind is NodeKind.HOST]
+    @cached_property
+    def hosts(self) -> tuple[int, ...]:
+        return tuple(n.id for n in self.nodes if n.kind is NodeKind.HOST)
 
-    @property
-    def switches(self) -> list[int]:
-        return [n.id for n in self.nodes if n.kind is NodeKind.SWITCH]
+    @cached_property
+    def switches(self) -> tuple[int, ...]:
+        return tuple(n.id for n in self.nodes if n.kind is NodeKind.SWITCH)
 
     @property
     def num_hosts(self) -> int:
-        return sum(1 for n in self.nodes if n.kind is NodeKind.HOST)
+        return len(self.hosts)
 
     @property
     def num_switches(self) -> int:
-        return sum(1 for n in self.nodes if n.kind is NodeKind.SWITCH)
+        return len(self.switches)
 
     def degree(self, node_id: int) -> int:
         return len(self.adjacency[node_id])

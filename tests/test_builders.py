@@ -452,6 +452,24 @@ def test_unknown_preset():
     assert "fat-tree-k4" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "builder, args",
+    [
+        (build_dcell, (0, 1)),
+        (build_dcell, (4, -1)),
+        (build_dcell, (-2, 1)),
+        (build_dcell, (1, 1)),
+        (dcell_host_count, (1, 1)),
+        (build_mdcube, (2, 2, 1, 1)),  # BCube(1, 1) containers
+        (build_mdcube, (2, 2, 4, -1)),
+        (build_scafida, (4, -3, 4)),
+    ],
+)
+def test_bad_parameters_rejected(builder, args):
+    with pytest.raises(TopologyError):
+        builder(*args)
+
+
 # --- size cap -----------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from dcnbench.builders import build_fat_tree, build_preset
-from dcnbench.flitsim import SimConfig, run_simulation
+from dcnbench.flitsim import SimConfig, run_simulation, saturation_reception_rate, sweep_injection
 from dcnbench.graph import TopologyError, bfs_distances, import_edge_list
 from dcnbench.traffic import TrafficPattern
 
@@ -17,6 +17,43 @@ def test_packet_conservation(preset, rate):
     )
     assert stats.packets_generated == accounted
     assert min(stats.in_flight, stats.awaiting_retransmit, stats.source_queued) >= 0
+
+
+# (preset, pattern, rate, cycles, seed, vcs_per_port, vc_depth) ->
+# (packets_received, dropped, retransmitted, avg_packet_latency,
+# packets_due_window). A change that moves any of these changes what the
+# simulator computes; the small pools make drops and retransmits frequent.
+GOLDEN = [
+    (("fat-tree-k4", "uniform", 0.5, 600, 1, 100, 4), (4131, 0, 0, 83.69202722411279, 4127)),
+    (("fat-tree-k4", "uniform", 1.0, 600, 1, 2, 1), (547, 8867, 8719, 236.12915129151293, 8241)),
+    (("dcell-n4-l1", "tornado", 0.7, 600, 2, 4, 2), (2093, 8713, 8563, 159.99853300733497, 7493)),
+    (("bcube-n4-k1", "complement", 1.0, 600, 3, 3, 3), (4896, 4144, 4032, 160.72875816993465, 8640)),
+    (("jellyfish-s10-p4-r3", "uniform", 1.0, 2000, 1, 100, 4), (15990, 109, 106, 238.56134431097314, 17982)),
+    (("f10-k4", "reverse", 0.4, 600, 4, 2, 2), (1073, 5468, 5370, 177.88909599254427, 2380)),
+    (("fat-tree-k4-paper", "complement", 0.05, 600, 2, 100, 4), (195, 0, 0, 90.0051282051282, 195)),
+    (("facebook-scaled", "uniform", 0.3, 400, 5, 8, 1), (4902, 221, 217, 60.79824561403509, 4913)),
+]
+
+
+@pytest.mark.parametrize("run, expected", GOLDEN, ids=["-".join(map(str, run)) for run, _ in GOLDEN])
+def test_seeded_results_are_pinned(run, expected):
+    preset, pattern, rate, cycles, seed, vcs, depth = run
+    config = SimConfig(
+        injection_rate=rate, sim_cycles=cycles, seed=seed, vcs_per_port=vcs, vc_depth=depth,
+        pattern=getattr(TrafficPattern, pattern)(),
+    )
+    stats = run_simulation(build_preset(preset), config=config)
+    got = (
+        stats.packets_received, stats.dropped, stats.retransmitted, stats.avg_packet_latency,
+        stats.packets_due_window,
+    )
+    assert got == expected
+
+
+def saturated_from_output(stats):
+    """The ``saturated`` flag recomputed from the other reported fields."""
+    received = round(stats.reception_rate * stats.active_hosts * (stats.sim_cycles - stats.warmup_cycles))
+    return received < 0.95 * stats.packets_due_window
 
 
 def test_fixed_seed_gives_identical_stats():
@@ -80,6 +117,7 @@ def test_light_load_with_short_warmup_not_saturated(pattern):
     assert stats.dropped == 0
     assert stats.reception_rate < 0.95 * 0.05
     assert stats.saturated is False
+    assert stats.saturated == saturated_from_output(stats)
 
 
 def test_full_load_saturates():
@@ -87,3 +125,41 @@ def test_full_load_saturates():
     stats = run_simulation(build_preset("fat-tree-k4"), config=config)
     assert stats.reception_rate == pytest.approx(0.738, abs=0.001)
     assert stats.saturated is True
+    assert stats.saturated == saturated_from_output(stats)
+
+
+@pytest.mark.parametrize("preset", ["dcell-n4-l1", "jellyfish-s10-p4-r3"])
+def test_sweep_reception_rises_until_saturation(preset):
+    rates = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+    config = SimConfig(injection_rate=rates[0], sim_cycles=1000)
+    curve = sweep_injection(build_preset(preset), "auto", TrafficPattern.uniform(), rates, config)
+    assert [rate for rate, _ in curve] == rates
+    flags = [stats.saturated for _, stats in curve]
+    assert not flags[0] and flags[-1]
+    below = [stats.reception_rate for _, stats in curve[: flags.index(True)]]
+    assert below == sorted(below)
+    assert saturation_reception_rate(curve) == max(stats.reception_rate for _, stats in curve)
+    for _, stats in curve:
+        assert stats.saturated == saturated_from_output(stats)
+
+
+@pytest.mark.parametrize("rates", [[], [0.5, 0.5], [0.5, 0.2]])
+def test_sweep_rejects_bad_rates(rates):
+    config = SimConfig(injection_rate=0.1, sim_cycles=100)
+    with pytest.raises(TopologyError):
+        sweep_injection(build_fat_tree(2), "auto", TrafficPattern.uniform(), rates, config)
+
+
+@pytest.mark.parametrize("latency", [3, 40])
+def test_link_latency_other_than_the_simulated_one_rejected(latency):
+    # every channel takes config.link_latency cycles, so a per-link latency
+    # that differs would be silently ignored
+    topo = import_edge_list(
+        f"node 0 host 1 -\nnode 1 host 1 -\nnode 2 switch 2 -\n"
+        f"link 0 2 1 {latency}\nlink 1 2 1 {latency}\n"
+    )
+    with pytest.raises(TopologyError, match="latency"):
+        run_simulation(topo, config=SimConfig(injection_rate=0.5, sim_cycles=400))
+    matching = SimConfig(injection_rate=0.05, sim_cycles=400, link_latency=latency)
+    stats = run_simulation(topo, config=matching)
+    assert stats.avg_packet_latency == 2 * (matching.router_pipeline + latency)
