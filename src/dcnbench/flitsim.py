@@ -13,7 +13,8 @@ puts forward at most one VC head per cycle, each output port grants at most
 one packet per cycle, and a packet departs only when the downstream input
 port's pool has space (ejection at the destination is never blocked). A
 head whose next-hop pool is full is dropped and re-enters its source queue
-after a link-latency backoff.
+after a link-latency backoff. ``SimStats.dropped`` counts every drop;
+``dropped_at_source`` counts those of heads still at their source port.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class SimStats:
     packets_injected: int
     packets_received: int
     dropped: int
+    dropped_at_source: int  # of ``dropped``, heads still at their source port
     retransmitted: int
     in_flight: int
     awaiting_retransmit: int
@@ -216,6 +218,7 @@ def run_simulation(
     stats_received = 0
     stats_received_window = 0
     stats_dropped = 0
+    stats_dropped_at_source = 0
     stats_retransmitted = 0
     latency_sum = 0
     departures: dict[int, int] = {}
@@ -330,7 +333,9 @@ def run_simulation(
                 # head-of-line packet's next hop is full: drop and retransmit
                 pkt = pop_head(port_id, port, ready.popleft(), t)
                 stats_dropped += 1
-                if pkt.hop > 0:  # a packet still at its source was never in the network
+                if pkt.hop == 0:  # a packet still at its source was never in the network
+                    stats_dropped_at_source += 1
+                else:
                     in_network -= 1
                 awaiting_retransmit += 1
                 requeues.setdefault(t + link_latency, []).append(pkt)
@@ -390,6 +395,7 @@ def run_simulation(
         packets_injected=stats_injected_unique,
         packets_received=stats_received,
         dropped=stats_dropped,
+        dropped_at_source=stats_dropped_at_source,
         retransmitted=stats_retransmitted,
         in_flight=in_network,
         awaiting_retransmit=awaiting_retransmit,

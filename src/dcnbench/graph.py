@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_CAPACITY = 1.0
 DEFAULT_LATENCY = 10  # cycles, off-chip link propagation
@@ -363,6 +363,42 @@ def bfs_predecessors(
     for v in blocked:
         dist[v] = -1
     return dist, preds
+
+
+def multi_source_bfs(topology: Topology, sources: Sequence[int]) -> Iterator[dict[int, int]]:
+    """Breadth-first search from every node of ``sources`` at once, one level
+    at a time (Then et al., "The More the Merrier", PVLDB 2014).
+
+    Bit ``i`` of a Python ``int`` stands for ``sources[i]``. The ``d``-th
+    mapping yielded (counting from 0) holds each node that gained bits at
+    level ``d``, mapped to those bits: the sources at distance exactly ``d``
+    from it. Level 0 is the sources themselves. A node with no path to a
+    source never gains its bit, and the sweep ends after the last level
+    that gained anything.
+
+    Each level ORs every frontier node's bits into its neighbours, so the
+    cost is (levels) x (adjacency entries) big-int operations on
+    ``len(sources) / 64`` machine words each, where one BFS per source costs
+    ``len(sources)`` x (adjacency entries) Python steps.
+    """
+    neighbours = [[nb for nb, _ in entries] for entries in topology.adjacency]
+    seen = [0] * topology.num_nodes
+    frontier: dict[int, int] = {}
+    for i, s in enumerate(sources):
+        frontier[s] = seen[s] = seen[s] | 1 << i
+    while frontier:
+        yield frontier
+        reached: dict[int, int] = {}
+        get = reached.get
+        for v, bits in frontier.items():
+            for nb in neighbours[v]:
+                reached[nb] = get(nb, 0) | bits
+        frontier = {}
+        for v, bits in reached.items():
+            bits &= ~seen[v]
+            if bits:
+                seen[v] |= bits
+                frontier[v] = bits
 
 
 def host_twin_classes(topology: Topology) -> list[tuple[tuple[int, ...], list[int]]]:

@@ -1,6 +1,10 @@
 """Structural analytics: path lengths, bisection bandwidth, over-subscription,
 disjoint paths, and switch-failure experiments.
 
+Host diameter and average host path come from one multi-source BFS sweep
+that carries one bit per host twin class, not from one BFS per host or per
+class: the sweep's cost grows with the number of levels, not of sources.
+
 Bisection bandwidth follows the survey's definition: the minimum, over
 balanced host bipartitions, of the capacity that must be cut to separate the
 two host sets; each partition's cut is a max-flow between its two host sets.
@@ -27,9 +31,9 @@ from dataclasses import dataclass
 from .graph import (
     Topology,
     TopologyError,
-    bfs_distances,
     connected_components,
     host_twin_classes,
+    multi_source_bfs,
 )
 
 INF = float("inf")
@@ -45,17 +49,6 @@ class MetricsReport:
     bisection_bandwidth: float
     oversubscription: float
     method: str  # "exact" | "heuristic"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.topology},{self.hosts},{self.switches},{self.host_diameter},"
-            f"{self.avg_host_path:.6f},{self.bisection_bandwidth:.6f},"
-            f"{self.oversubscription:.6f},{self.method}"
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return "topology,hosts,switches,diameter,avg_path,bisection,oversub,method"
 
 
 class MaxFlow:
@@ -133,23 +126,39 @@ class MaxFlow:
 def host_path_stats(topology: Topology) -> tuple[int, float]:
     """Host diameter and mean host-pair shortest-path length, in links.
 
-    Runs one BFS per host twin class (see :func:`host_twin_classes`): a
-    member's distances to the other hosts are its class representative's.
-    The mean is an exact integer sum over ordered pairs divided by their
-    count, which equals the unordered-pair mean bit for bit.
+    One :func:`multi_source_bfs` sweep starts from a representative of every
+    host twin class (see :func:`host_twin_classes`): a member's distances to
+    the other hosts are its class representative's, so source bit ``i``
+    stands for the ``s`` members of class ``i``. A host that gains a set of
+    bits at level ``d`` adds ``d`` times their summed class sizes to the
+    total over ordered host pairs. The mean is that exact integer sum
+    divided by the pair count, which equals the unordered-pair mean bit for
+    bit. The diameter is the last level at which a host gains a bit.
     """
     hosts = topology.hosts
     if len(hosts) < 2:
         raise TopologyError("path metrics need at least two hosts")
+    classes = host_twin_classes(topology)
+    masks: dict[int, int] = {}  # class size -> bits of the classes of that size
+    for i, (_, members) in enumerate(classes):
+        masks[len(members)] = masks.get(len(members), 0) | 1 << i
+    size_masks = list(masks.items())
+    is_host = set(hosts)
     worst = 0
     total = 0
-    for _, members in host_twin_classes(topology):
-        dist = bfs_distances(topology, members[0])
-        row = [dist[h] for h in hosts]
-        if min(row) < 0:
-            raise TopologyError("topology is disconnected")
-        worst = max(worst, max(row))
-        total += len(members) * sum(row)
+    pairs = 0  # ordered (host, host) pairs reached, counted through class sizes
+    for d, gained in enumerate(multi_source_bfs(topology, [m[0] for _, m in classes])):
+        level_pairs = 0
+        for v, bits in gained.items():
+            if v in is_host:
+                for size, mask in size_masks:
+                    level_pairs += size * (bits & mask).bit_count()
+        if level_pairs:
+            worst = d
+            pairs += level_pairs
+            total += d * level_pairs
+    if pairs != len(hosts) * len(hosts):
+        raise TopologyError("topology is disconnected")
     return worst, total / (len(hosts) * (len(hosts) - 1))
 
 

@@ -1,9 +1,10 @@
 """Hand-built topologies for the twin-class edge cases that no builder makes.
 
-Twin hosts are hosts with the same sorted neighbour list; path metrics and
-ECMP tables run one BFS per twin class, and exact bisection enumerates
-per-class host counts, so these cases pin down where those shortcuts could
-go wrong.
+Twin hosts are hosts with the same sorted neighbour list; path metrics
+search from one source per twin class, ECMP tables run one BFS per class,
+and exact bisection enumerates per-class host counts, so these cases pin
+down where those shortcuts could go wrong. ``isolated_switch`` is the one
+case that is not about twins: a node no host reaches.
 """
 
 from dcnbench.graph import Link, Node, NodeKind, Topology
@@ -49,6 +50,12 @@ def isolated_twins():
     """Hosts 0 and 1 have no links (twins with no neighbours); hosts 2 and
     3 share switch 4."""
     return _topology(4, 1, [(2, 4), (3, 4)])
+
+
+def isolated_switch():
+    """Hosts 0-2 share switch 3 and host 2 also reaches switch 4; switch 5
+    has no links."""
+    return _topology(3, 3, [(0, 3), (1, 3), (2, 3), (2, 4)])
 
 
 HAND_BUILT = {

@@ -17,6 +17,30 @@ def test_packet_conservation(preset, rate):
     )
     assert stats.packets_generated == accounted
     assert min(stats.in_flight, stats.awaiting_retransmit, stats.source_queued) >= 0
+    assert 0 <= stats.dropped_at_source <= stats.dropped
+
+
+# (preset, rate) -> (dropped_at_source, dropped) under complement traffic,
+# 2,000 cycles, seed 1. Every fat-tree-k4 drop is at an edge host's source
+# port; DCell forwards through hosts, so about half of its drops are in the
+# network.
+SOURCE_DROPS = [
+    (("fat-tree-k4", 0.1), (0, 0)),
+    (("fat-tree-k4", 1.0), (1765, 1765)),
+    (("dcell-n4-l1", 0.1), (0, 0)),
+    (("dcell-n4-l1", 1.0), (6440, 13616)),
+]
+
+
+@pytest.mark.parametrize("run, expected", SOURCE_DROPS, ids=["-".join(map(str, run)) for run, _ in SOURCE_DROPS])
+def test_source_drops_split_from_network_drops(run, expected):
+    preset, rate = run
+    config = SimConfig(
+        injection_rate=rate, sim_cycles=2000, seed=1, pattern=TrafficPattern.complement()
+    )
+    stats = run_simulation(build_preset(preset), config=config)
+    assert (stats.dropped_at_source, stats.dropped) == expected
+    assert 0 <= stats.dropped_at_source <= stats.dropped
 
 
 # (preset, pattern, rate, cycles, seed, vcs_per_port, vc_depth) ->

@@ -8,11 +8,15 @@ from dcnbench.graph import (
     NodeKind,
     Topology,
     ValidationError,
+    bfs_distances,
     export_edge_list,
     import_edge_list,
+    multi_source_bfs,
     validate,
 )
 from dcnbench.builders import build_dcell, build_fat_tree
+
+from hand_topologies import duplicate_host_links, isolated_twins
 
 
 def star(num_hosts, capacity=1.0):
@@ -114,3 +118,46 @@ def test_import_duplicate_link_is_violation():
 def test_import_unknown_keyword():
     with pytest.raises(EdgeListParseError):
         import_edge_list("wat 0 0 0 0\n")
+
+
+# --- multi-source BFS --------------------------------------------------------
+
+
+def line(num_nodes):
+    nodes = [Node(i, NodeKind.SWITCH, 2) for i in range(num_nodes)]
+    return Topology(nodes, [Link(i, i + 1) for i in range(num_nodes - 1)])
+
+
+def sweep_distances(topology, sources):
+    """Per-source distance rows read off the sweep's levels; -1 if never reached."""
+    rows = [[-1] * topology.num_nodes for _ in sources]
+    for d, gained in enumerate(multi_source_bfs(topology, sources)):
+        assert gained  # the sweep stops after the last level that gains a bit
+        for v, bits in gained.items():
+            assert bits
+            for i, row in enumerate(rows):
+                if bits >> i & 1:
+                    assert row[v] == -1  # each node gains each bit once
+                    row[v] = d
+    return rows
+
+
+@pytest.mark.parametrize("topology, sources", [
+    (line(6), [0, 5, 2]),
+    (line(6), [3, 3]),
+    (duplicate_host_links(), list(range(6))),
+    (isolated_twins(), [0, 2, 4]),
+    (build_dcell(3, 2), list(range(156))),  # more bits than one machine word
+], ids=["line", "line-repeated-source", "parallel-links", "disconnected", "dcell-n3-l2"])
+def test_multi_source_bfs_levels_match_single_source(topology, sources):
+    expected = [bfs_distances(topology, s) for s in sources]
+    assert sweep_distances(topology, sources) == expected
+
+
+def test_multi_source_bfs_line_levels():
+    assert list(multi_source_bfs(line(4), [0, 3])) == [
+        {0: 0b01, 3: 0b10},
+        {1: 0b01, 2: 0b10},
+        {2: 0b01, 1: 0b10},
+        {3: 0b01, 0: 0b10},
+    ]

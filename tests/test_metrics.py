@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -15,7 +16,6 @@ from dcnbench.builders import (
 )
 from dcnbench import metrics
 from dcnbench.metrics import (
-    MetricsReport,
     _partition_cut_solver,
     avg_host_path,
     bisection_bandwidth_exact,
@@ -29,7 +29,7 @@ from dcnbench.metrics import (
     vertex_disjoint_paths,
 )
 
-from hand_topologies import HAND_BUILT, isolated_twins
+from hand_topologies import HAND_BUILT, isolated_switch, isolated_twins
 
 
 def star(num_hosts):
@@ -106,6 +106,9 @@ PATH_CASES.update(
     dcell_n2_l2=lambda: build_dcell(2, 2),
     bcube_n3_k2=lambda: build_bcube(3, 2),
     scafida=lambda: build_scafida(30, 40, 12, seed=5),
+    dcell_n3_l2=lambda: build_dcell(3, 2),  # 156 twin classes: bitsets past one word
+    bcube_n3_k3=lambda: build_bcube(3, 3),  # 81 twin classes
+    isolated_switch=isolated_switch,  # unreachable switch, connected hosts
 )
 
 
@@ -359,12 +362,11 @@ def test_failure_experiment_deterministic():
 # --- report ----------------------------------------------------------------
 
 
-def test_metrics_report_csv():
-    report = compute_metrics(build_fat_tree(2))
-    row = report.csv_row()
-    assert row.startswith("fat_tree,2,5,6,")
-    assert row.endswith(",exact")
-    assert MetricsReport.csv_header().count(",") == row.count(",")
+def test_metrics_report_asdict():
+    report = dataclasses.asdict(compute_metrics(build_fat_tree(2)))
+    assert report["topology"] == "fat_tree"
+    assert (report["hosts"], report["switches"], report["host_diameter"]) == (2, 5, 6)
+    assert report["method"] == "exact"
 
 
 def test_metrics_report_heuristic_flag():
