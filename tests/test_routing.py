@@ -1,9 +1,12 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from dcnbench.graph import (
+    AddressScheme,
     Link,
     Node,
     NodeKind,
@@ -11,8 +14,11 @@ from dcnbench.graph import (
     TopologyError,
     bfs_distances,
     bfs_predecessors,
+    export_edge_list,
+    import_edge_list,
 )
 from dcnbench.builders import PRESETS, build_bcube, build_dcell, build_f10, build_fat_tree, build_preset
+from dcnbench.flitsim import SimConfig, run_simulation
 from dcnbench.routing import (
     bcube_route,
     check_route,
@@ -22,7 +28,7 @@ from dcnbench.routing import (
     ecmp_walk_hashed,
     ecmp_walk_random,
     f10_reroute,
-    fat_tree_route,
+    fat_tree_router,
     route_provider,
     shortest_route_avoiding,
 )
@@ -135,17 +141,187 @@ def test_ecmp_select_uniform():
 # --- fat-tree routing --------------------------------------------------------
 
 
+def reference_fat_tree_route(topology, src, dst, rng):
+    """Each lookup rescans the adjacency and reads layers off the addresses:
+    the definition the table-driven router must reproduce, rng draws
+    included."""
+
+    def layer(v):
+        addr = topology.nodes[v].address
+        if addr.scheme is not AddressScheme.FAT_TREE_POD:
+            raise TopologyError("fat_tree_route requires a fat-tree-family topology")
+        return addr.digits[0]
+
+    if src == dst:
+        raise TopologyError("src and dst must differ")
+    nodes = topology.nodes
+    for h in (src, dst):
+        if nodes[h].kind is not NodeKind.HOST:
+            raise TopologyError(f"{h} is not a host")
+    edge_src = topology.neighbors(src)[0]
+    edge_dst = topology.neighbors(dst)[0]
+    if edge_src == edge_dst:
+        return [src, edge_src, dst]
+    up_src = [nb for nb in topology.neighbors(edge_src) if layer(nb) == 2]
+    common = sorted(set(up_src) & {nb for nb in topology.neighbors(edge_dst) if layer(nb) == 2})
+    if common:
+        agg = common[rng.randrange(len(common))]
+        return [src, edge_src, agg, edge_dst, dst]
+    agg = sorted(up_src)[rng.randrange(len(up_src))]
+    cores = sorted(nb for nb in topology.neighbors(agg) if layer(nb) == 3)
+    core = cores[rng.randrange(len(cores))]
+    dst_pod = nodes[dst].address.digits[1]
+    down_aggs = [
+        nb for nb in topology.neighbors(core)
+        if layer(nb) == 2 and nodes[nb].address.digits[1] == dst_pod
+    ]
+    if len(down_aggs) != 1:
+        raise TopologyError("core switch has no unique link into the destination pod")
+    agg_down = down_aggs[0]
+    if edge_dst not in topology.neighbors(agg_down):
+        raise TopologyError("descending path broken: aggregation not linked to edge")
+    return [src, edge_src, agg, core, agg_down, edge_dst, dst]
+
+
+def rewired_fat_tree(k, rewire):
+    """A k-ary fat tree whose links pass through ``rewire(link)``, which
+    returns the links to keep in its place."""
+    topo = build_fat_tree(k)
+    links = [kept for link in topo.links for kept in rewire(link)]
+    return Topology(topo.nodes, links, builder_params=topo.builder_params)
+
+
+def doubled_uplinks(link):
+    # a second edge 16 - aggregation 24 link and a second 24 - core 32 link
+    return [link, link] if {link.a, link.b} in ({16, 24}, {24, 32}) else [link]
+
+
+def cut_agg_edge_link(link):
+    # aggregation 26 (pod 1) loses its link to edge 18 (pod 1)
+    return [] if {link.a, link.b} == {18, 26} else [link]
+
+
+def outcome(route, src, dst, rng):
+    try:
+        return route(src, dst, rng)
+    except TopologyError as exc:
+        return f"TopologyError: {exc}"
+
+
+# name -> (builder, sampled pairs or None for every ordered host pair)
+FAT_TREE_FAMILY = {
+    "fat-tree-k2": (lambda: build_fat_tree(2), None),  # one uplink, one core: randrange(1)
+    "fat-tree-k4": (lambda: build_preset("fat-tree-k4"), None),
+    "fat-tree-k4-paper": (lambda: build_preset("fat-tree-k4-paper"), None),
+    "f10-k4": (lambda: build_preset("f10-k4"), None),
+    "facebook-scaled": (lambda: build_preset("facebook-scaled"), None),
+    "fat-tree-k8": (lambda: build_fat_tree(8), 5000),
+    "fat-tree-k16": (lambda: build_fat_tree(16), 5000),
+    "f10-k8": (lambda: build_f10(8), 5000),
+    "fat-tree-k4-doubled-uplinks": (lambda: rewired_fat_tree(4, doubled_uplinks), None),
+    "fat-tree-k4-cut-down-link": (lambda: rewired_fat_tree(4, cut_agg_edge_link), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAT_TREE_FAMILY))
+def test_fat_tree_router_matches_reference(name):
+    build, samples = FAT_TREE_FAMILY[name]
+    topo = build()
+    route = fat_tree_router(topo)
+    hosts = topo.hosts
+    if samples is None:
+        pairs = list(itertools.permutations(hosts, 2))
+    else:
+        pick = random.Random(name)
+        pairs = [tuple(pick.sample(hosts, 2)) for _ in range(samples)]
+    reference = lambda src, dst, rng: reference_fat_tree_route(topo, src, dst, rng)
+    ours, theirs = random.Random(11), random.Random(11)
+    for src, dst in pairs:
+        assert outcome(route, src, dst, ours) == outcome(reference, src, dst, theirs)
+    assert ours.random() == theirs.random()  # same draws, randrange(1) included
+
+
+class ScriptedRng:
+    """Answers ``randrange`` from a script of choices (0 past its end) and
+    records the range of every call."""
+
+    def __init__(self, script):
+        self.script = script
+        self.ranges = []
+
+    def randrange(self, n):
+        i = len(self.ranges)
+        self.ranges.append(n)
+        return self.script[i] if i < len(self.script) else 0
+
+
+def router_distribution(route, src, dst):
+    """Exact route probabilities: every branch of every randrange call."""
+    dist = Counter()
+    scripts = [()]
+    while scripts:
+        script = scripts.pop()
+        rng = ScriptedRng(script)
+        path = tuple(route(src, dst, rng))
+        if len(rng.ranges) > len(script):
+            scripts.extend(script + (c,) for c in range(rng.ranges[len(script)]))
+            continue
+        p = Fraction(1)
+        for n in rng.ranges:
+            p /= n
+        dist[path] += p
+    return dist
+
+
+def ecmp_distribution(tables, src, dst):
+    """Exact route probabilities of a walk uniform over each node's next
+    hops (parallel links count once each)."""
+    dist = Counter()
+    walks = [((src,), Fraction(1))]
+    while walks:
+        path, p = walks.pop()
+        if path[-1] == dst:
+            dist[path] += p
+            continue
+        hops = tables[path[-1]][dst]
+        walks.extend((path + (nb,), p / len(hops)) for nb in hops)
+    return dist
+
+
+ECMP_SPLIT_CASES = {
+    "fat-tree-k2": lambda: build_fat_tree(2),
+    "fat-tree-k4": lambda: build_preset("fat-tree-k4"),
+    "fat-tree-k4-paper": lambda: build_preset("fat-tree-k4-paper"),
+    "f10-k4": lambda: build_preset("f10-k4"),
+    "facebook-scaled": lambda: build_preset("facebook-scaled"),
+    "fat-tree-k6": lambda: build_fat_tree(6),
+    "f10-k6": lambda: build_f10(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ECMP_SPLIT_CASES))
+def test_fat_tree_router_equals_ecmp_split(name):
+    topo = ECMP_SPLIT_CASES[name]()
+    route = fat_tree_router(topo)
+    tables = compute_ecmp_tables(topo)
+    for src, dst in itertools.permutations(topo.hosts, 2):
+        got = router_distribution(route, src, dst)
+        assert sum(got.values()) == 1
+        assert got == ecmp_distribution(tables, src, dst)
+
+
 def test_fat_tree_same_edge_length_two():
     topo = build_fat_tree(4)
-    route = fat_tree_route(topo, 0, 1, random.Random(1))
+    route = fat_tree_router(topo)(0, 1, random.Random(1))
     assert len(route) - 1 == 2
     check_route(topo, route)
 
 
 def test_fat_tree_same_pod_length_four_no_core():
     topo = build_fat_tree(4)
+    router = fat_tree_router(topo)
     for seed in range(20):
-        route = fat_tree_route(topo, 0, 2, random.Random(seed))
+        route = router(0, 2, random.Random(seed))
         assert len(route) - 1 == 4
         assert all(topo.nodes[v].address.digits[0] != 3 for v in route)
         check_route(topo, route)
@@ -153,10 +329,11 @@ def test_fat_tree_same_pod_length_four_no_core():
 
 def test_fat_tree_inter_pod_length_six_and_core_coverage():
     topo = build_fat_tree(4)
+    router = fat_tree_router(topo)
     cores_seen = set()
     rng = random.Random(0)
     for _ in range(1000):
-        route = fat_tree_route(topo, 0, 15, rng)
+        route = router(0, 15, rng)
         assert len(route) - 1 == 6
         cores_seen.add(route[3])
     core_ids = {n.id for n in topo.nodes
@@ -166,9 +343,10 @@ def test_fat_tree_inter_pod_length_six_and_core_coverage():
 
 def test_fat_tree_down_segment_unique():
     topo = build_fat_tree(4)
+    router = fat_tree_router(topo)
     suffixes = set()
     for seed in range(100, 200):
-        route = fat_tree_route(topo, 0, 15, random.Random(seed))
+        route = router(0, 15, random.Random(seed))
         core = route[3]
         suffixes.add((core, tuple(route[route.index(core):])))
     per_core = {}
@@ -179,15 +357,35 @@ def test_fat_tree_down_segment_unique():
 
 
 def test_fat_tree_route_rejects_same_host():
-    with pytest.raises(TopologyError):
-        fat_tree_route(build_fat_tree(4), 3, 3)
+    with pytest.raises(TopologyError, match="must differ"):
+        fat_tree_router(build_fat_tree(4))(3, 3, random.Random(0))
+
+
+@pytest.mark.parametrize("src,dst", [(0, 20), (20, 0), (0, 35)])
+def test_fat_tree_route_rejects_non_host(src, dst):
+    topo = build_fat_tree(4)
+    assert topo.nodes[20].kind is NodeKind.SWITCH
+    with pytest.raises(TopologyError, match="is not a host"):
+        fat_tree_router(topo)(src, dst, random.Random(0))
 
 
 def test_fat_tree_route_works_on_f10():
     topo = build_f10(4)
-    route = fat_tree_route(topo, 0, 15, random.Random(2))
+    route = fat_tree_router(topo)(0, 15, random.Random(2))
     assert len(route) - 1 == 6
     check_route(topo, route)
+
+
+@pytest.mark.parametrize("rewire,dst,message", [
+    (doubled_uplinks, 0, "no unique link into the destination pod"),
+    (cut_agg_edge_link, 4, "descending path broken"),
+])
+def test_fat_tree_router_raises_on_broken_descent(rewire, dst, message):
+    router = fat_tree_router(rewired_fat_tree(4, rewire))
+    results = [outcome(router, 15, dst, random.Random(seed)) for seed in range(40)]
+    errors = [r for r in results if isinstance(r, str)]
+    assert 0 < len(errors) < len(results)  # both the broken and the intact descent ran
+    assert all(message in e for e in errors)
 
 
 # --- DCell routing -----------------------------------------------------------
@@ -271,7 +469,7 @@ def test_bcube_route_links_equal_twice_hamming(n, k):
 def test_f10_reroute_failed_core_same_length():
     topo = build_f10(4)
     rng = random.Random(4)
-    route = fat_tree_route(topo, 0, 15, rng)
+    route = fat_tree_router(topo)(0, 15, rng)
     core = route[3]
     detour = f10_reroute(topo, 0, 15, core, random.Random(1))
     assert core not in detour
@@ -280,7 +478,7 @@ def test_f10_reroute_failed_core_same_length():
 
 
 def failed_down_agg(topo, src, dst, rng):
-    route = fat_tree_route(topo, src, dst, rng)
+    route = fat_tree_router(topo)(src, dst, rng)
     return route[4]  # aggregation switch on the down path
 
 
@@ -394,6 +592,25 @@ def test_route_provider_auto_dispatch():
     assert dc == [0, 4]
     bc = route_provider(build_bcube(2, 1))(0, 3, rng)
     assert len(bc) - 1 == 4
+
+
+@pytest.mark.parametrize("build,mode", [
+    (lambda: build_dcell(4, 1), "fat-tree"),
+    (lambda: build_bcube(2, 1), "fat-tree"),
+    (lambda: import_edge_list(export_edge_list(build_fat_tree(4))), "fat-tree"),
+    (lambda: build_fat_tree(4), "dcell"),
+    (lambda: build_bcube(2, 1), "dcell"),
+    (lambda: build_fat_tree(4), "bcube"),
+    (lambda: build_dcell(4, 1), "bcube"),
+])
+def test_route_provider_rejects_foreign_topology_when_built(build, mode):
+    topo = build()
+    with pytest.raises(TopologyError, match="requires a"):
+        route_provider(topo, mode)
+    if mode == "fat-tree":
+        config = SimConfig(injection_rate=0.5, sim_cycles=100)
+        with pytest.raises(TopologyError, match="requires a"):
+            run_simulation(topo, mode, config)
 
 
 def test_route_provider_ecmp_mode():
