@@ -51,8 +51,8 @@ class SimConfig:
     def check(self) -> None:
         if not 0 < self.injection_rate <= 1:
             raise TopologyError("injection_rate must be in (0, 1]")
-        if self.sim_cycles <= 0 or self.resolved_warmup() >= self.sim_cycles:
-            raise TopologyError("need warmup_cycles < sim_cycles")
+        if self.sim_cycles <= 0 or not 0 <= self.resolved_warmup() < self.sim_cycles:
+            raise TopologyError("need 0 <= warmup_cycles < sim_cycles")
         if self.vcs_per_port < 1 or self.vc_depth < 1:
             raise TopologyError("vcs_per_port and vc_depth must be >= 1")
         if self.router_pipeline < 0 or self.link_latency < 1:

@@ -94,7 +94,8 @@ class Topology:
     """Immutable graph of hosts and switches with capacitated links.
 
     ``adjacency[v]`` lists ``(neighbor, link_index)`` pairs in link insertion
-    order. Construction is single-threaded; once built, a topology is safe to
+    order. A link whose endpoint is not a node id raises :class:`TopologyError`.
+    Construction is single-threaded; once built, a topology is safe to
     share read-only across concurrent analyses.
     """
 
@@ -111,9 +112,13 @@ class Topology:
         self.builder_params: dict = dict(builder_params or {})
         adj: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
         for idx, link in enumerate(self.links):
-            if 0 <= link.a < len(adj) and 0 <= link.b < len(adj):
-                adj[link.a].append((link.b, idx))
-                adj[link.b].append((link.a, idx))
+            if not (0 <= link.a < len(adj) and 0 <= link.b < len(adj)):
+                raise TopologyError(
+                    f"link {idx} ({link.a}-{link.b}) has an endpoint outside "
+                    f"node ids 0..{len(adj) - 1}"
+                )
+            adj[link.a].append((link.b, idx))
+            adj[link.b].append((link.a, idx))
         self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(entries) for entries in adj
         )

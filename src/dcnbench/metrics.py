@@ -37,6 +37,7 @@ from .graph import (
 )
 
 INF = float("inf")
+EXACT_BISECTION_MAX_HOSTS = 16  # largest host count the brute force accepts
 
 
 @dataclass
@@ -247,10 +248,11 @@ def _balanced_sides(classes: list[list[int]], size: int, halve: bool) -> list[li
     return sides
 
 
-def bisection_bandwidth_exact(topology: Topology, max_hosts: int = 16) -> float:
+def bisection_bandwidth_exact(topology: Topology) -> float:
     """Minimum cut capacity over all balanced host bipartitions, by brute
-    force with a max-flow evaluation each. Guarded by ``max_hosts`` since
-    the partition count is combinatorial.
+    force with a max-flow evaluation each. Guarded by
+    :data:`EXACT_BISECTION_MAX_HOSTS` since the partition count is
+    combinatorial.
 
     Hosts with equal ``(neighbour, capacity)`` lists are interchangeable
     (see :func:`_capacity_twin_classes`), so a partition's cut depends only
@@ -262,9 +264,9 @@ def bisection_bandwidth_exact(topology: Topology, max_hosts: int = 16) -> float:
     H = topology.num_hosts
     if H < 2:
         raise TopologyError("bisection needs at least two hosts")
-    if H > max_hosts:
+    if H > EXACT_BISECTION_MAX_HOSTS:
         raise TopologyError(
-            f"{H} hosts exceeds the exact guard of {max_hosts}; "
+            f"{H} hosts exceeds the exact guard of {EXACT_BISECTION_MAX_HOSTS}; "
             "use bisection_bandwidth_heuristic"
         )
     cut_value = _partition_cut_solver(topology)
@@ -397,17 +399,24 @@ def bisection_bandwidth_heuristic(
     return best
 
 
+def _bisection(topology: Topology, restarts: int = 8, seed: int = 0) -> tuple[float, str]:
+    """Bisection bandwidth and the method that found it: "exact" up to
+    :data:`EXACT_BISECTION_MAX_HOSTS` hosts, "heuristic" (an upper bound)
+    beyond."""
+    if topology.num_hosts <= EXACT_BISECTION_MAX_HOSTS:
+        return bisection_bandwidth_exact(topology), "exact"
+    return bisection_bandwidth_heuristic(topology, restarts=restarts, seed=seed), "heuristic"
+
+
 def oversubscription_ratio(topology: Topology, bisection: float | None = None) -> float:
     """(sum of host access-link capacities / 2) / bisection bandwidth.
 
     1.0 means non-blocking. When ``bisection`` is not supplied, it is computed
-    exactly for <= 16 hosts and heuristically otherwise.
+    exactly up to :data:`EXACT_BISECTION_MAX_HOSTS` hosts and heuristically
+    beyond.
     """
     if bisection is None:
-        if topology.num_hosts <= 16:
-            bisection = bisection_bandwidth_exact(topology)
-        else:
-            bisection = bisection_bandwidth_heuristic(topology)
+        bisection, _ = _bisection(topology)
     host_set = set(topology.hosts)
     access = 0.0
     for link in topology.links:
@@ -537,6 +546,10 @@ def failure_experiment(
     """
     if not 0 <= fail_fraction < 1:
         raise TopologyError("fail_fraction must be in [0, 1)")
+    if trials < 1:
+        raise TopologyError("failure experiment needs at least one trial")
+    if topology.num_hosts < 2:
+        raise TopologyError("failure experiment needs at least two hosts")
     switches = topology.switches
     num_fail = math.floor(fail_fraction * len(switches))
     hosts = topology.hosts
@@ -559,13 +572,9 @@ def failure_experiment(
 
 
 def compute_metrics(topology: Topology, restarts: int = 8, seed: int = 0) -> MetricsReport:
-    """Full report; bisection is exact up to 16 hosts, heuristic beyond."""
-    if topology.num_hosts <= 16:
-        bisection = bisection_bandwidth_exact(topology)
-        method = "exact"
-    else:
-        bisection = bisection_bandwidth_heuristic(topology, restarts=restarts, seed=seed)
-        method = "heuristic"
+    """Full report; bisection is exact up to :data:`EXACT_BISECTION_MAX_HOSTS`
+    hosts, heuristic beyond."""
+    bisection, method = _bisection(topology, restarts, seed)
     diameter, avg_path = host_path_stats(topology)
     return MetricsReport(
         topology=topology.name(),

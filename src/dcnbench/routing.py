@@ -5,11 +5,12 @@ digit correction, F10 failure detours).
 Hop counts everywhere are link counts. Routes are explicit node-id sequences
 from source host to destination host.
 
-:func:`route_provider` hands the simulator one ``(src, dst, rng) -> Route``
-callable per topology. Tables are built once, when the provider is made:
-ECMP next-hop tables, or the fat-tree family's per-switch uplink and
-down-link tables (:func:`fat_tree_router`), so that a lookup indexes them
-instead of rescanning the adjacency.
+Every routing mode is one router factory of one shape,
+``(topology) -> (src, dst, rng) -> Route``: :func:`ecmp_router`,
+:func:`fat_tree_router`, :func:`dcell_router` and :func:`bcube_router`. A
+factory checks its topology and computes everything a lookup reads once;
+the callable it returns only indexes those tables or does integer
+arithmetic on the addresses. :func:`route_provider` picks the factory.
 """
 
 from __future__ import annotations
@@ -28,15 +29,7 @@ from .graph import (
 )
 
 Route = list[int]
-
-_M64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
+Router = Callable[[int, int, random.Random], Route]
 
 
 def check_route(topology: Topology, route: Sequence[int]) -> None:
@@ -90,44 +83,24 @@ def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
     return tables
 
 
-def ecmp_select(next_hops: Sequence[int], flow_id: int, salt: int = 0) -> int:
-    """Deterministic flow-hashed pick from an equal-cost next-hop set."""
-    hops = sorted(next_hops)
-    if not hops:
-        raise TopologyError("empty next-hop set")
-    h = _mix64(((flow_id & _M64) * 0x100000001B3 + salt * 0x9E3779B1 + 1) & _M64)
-    return hops[h % len(hops)]
+def ecmp_router(topology: Topology) -> Router:
+    """Shortest paths sampled hop by hop: each node steps to one of its
+    sorted equal-cost next hops towards ``dst``, uniformly at random.
 
+    Builds :func:`compute_ecmp_tables` once; a lookup walks them and draws
+    ``rng.randrange(n)`` only where a node has ``n > 1`` next hops.
+    """
+    tables = compute_ecmp_tables(topology)
 
-def ecmp_walk_random(
-    tables: list[dict[int, tuple[int, ...]]],
-    src: int,
-    dst: int,
-    rng: random.Random,
-) -> Route:
-    """Shortest path sampled by picking uniformly among next hops per node."""
-    route = [src]
-    cur = src
-    while cur != dst:
-        hops = tables[cur][dst]
-        cur = hops[rng.randrange(len(hops))] if len(hops) > 1 else hops[0]
-        route.append(cur)
-    return route
+    def route(src: int, dst: int, rng: random.Random) -> Route:
+        path = [src]
+        cur = src
+        while cur != dst:
+            hops = tables[cur][dst]
+            cur = hops[rng.randrange(len(hops))] if len(hops) > 1 else hops[0]
+            path.append(cur)
+        return path
 
-
-def ecmp_walk_hashed(
-    tables: list[dict[int, tuple[int, ...]]],
-    src: int,
-    dst: int,
-    flow_id: int,
-    salt: int = 0,
-) -> Route:
-    """Shortest path selected by per-node flow hashing (frozen per flow)."""
-    route = [src]
-    cur = src
-    while cur != dst:
-        cur = ecmp_select(tables[cur][dst], flow_id, salt=salt * 0x51ED27 + cur)
-        route.append(cur)
     return route
 
 
@@ -135,7 +108,7 @@ def ecmp_walk_hashed(
 # Fat-tree family
 
 
-def fat_tree_router(topology: Topology) -> Callable[[int, int, random.Random], Route]:
+def fat_tree_router(topology: Topology) -> Router:
     """Up/down routing for the fat-tree family (fat tree, F10, Facebook
     fabric): ascend choosing uniformly among valid uplinks, stop at the
     lowest common level, then descend along the single possible path.
@@ -208,37 +181,36 @@ def fat_tree_router(topology: Topology) -> Callable[[int, int, random.Random], R
 
 
 # ---------------------------------------------------------------------------
-# DCell
+# DCell and BCube
 
 
 def _builder_params(topology: Topology, builder: str) -> dict:
     """The topology's builder parameters, if ``builder`` built it."""
     params = topology.builder_params
     if params.get("builder") != builder:
-        raise TopologyError(f"{builder}_route requires a {builder} topology")
+        raise TopologyError(f"{builder} routing requires a {builder} topology")
     return params
 
 
-def dcell_route(topology: Topology, src: int, dst: int) -> Route:
+def dcell_router(topology: Topology) -> Router:
     """Divide-and-conquer DCell routing: descend to the level where src and
     dst diverge, cross the single inter-sub-cell link there, and recurse on
     both halves. Intra-cell segments go through the cell switch.
+
+    Reads ``n``, the sub-cell sizes ``t``, the level and the host count once;
+    a lookup makes no ``rng`` call.
     """
     params = _builder_params(topology, "dcell")
-    if src == dst:
-        raise TopologyError("src and dst must differ")
     n = params["n"]
     ts = params["t"]
+    top = params["level"]
     num_hosts = topology.num_hosts
-
-    def switch_of(uid: int) -> int:
-        return num_hosts + uid // n
 
     def rec(u: int, v: int, level: int, base: int) -> Route:
         if u == v:
             return [u]
         if level == 0:
-            return [u, switch_of(u), v]
+            return [u, num_hosts + u // n, v]
         sub = ts[level - 1]
         i = (u - base) // sub
         j = (v - base) // sub
@@ -254,43 +226,43 @@ def dcell_route(topology: Topology, src: int, dst: int) -> Route:
         right = rec(gw_v, v, level - 1, base + j * sub)
         return left + right
 
-    return rec(src, dst, params["level"], 0)
+    def route(src: int, dst: int, rng: random.Random) -> Route:
+        if src == dst:
+            raise TopologyError("src and dst must differ")
+        return rec(src, dst, top, 0)
+
+    return route
 
 
-# ---------------------------------------------------------------------------
-# BCube
-
-
-def bcube_route(topology: Topology, src: int, dst: int) -> Route:
+def bcube_router(topology: Topology) -> Router:
     """Correct one differing address digit per step through the level-i
-    switch; total links are exactly twice the address hamming distance.
+    switch, from the highest level down; total links are exactly twice the
+    address hamming distance.
+
+    Per level, from ``k`` down to 0, the digit stride ``n**i`` and the id of
+    the level's first switch are computed once; a lookup makes no ``rng``
+    call.
     """
     params = _builder_params(topology, "bcube")
-    if src == dst:
-        raise TopologyError("src and dst must differ")
     n, k = params["n"], params["k"]
-    num_hosts = topology.num_hosts
-    per_level = n**k
+    levels = [(n**i, topology.num_hosts + i * n**k) for i in range(k, -1, -1)]
 
-    def digit(uid: int, i: int) -> int:
-        return (uid // n**i) % n
+    def route(src: int, dst: int, rng: random.Random) -> Route:
+        if src == dst:
+            raise TopologyError("src and dst must differ")
+        path = [src]
+        cur = src
+        for stride, first_switch in levels:
+            want = dst // stride % n
+            have = cur // stride % n
+            if have == want:
+                continue
+            high, low = divmod(cur, stride * n)
+            path.append(first_switch + high * stride + low % stride)
+            cur += (want - have) * stride
+            path.append(cur)
+        return path
 
-    def switch_of(uid: int, i: int) -> int:
-        stride = n**i
-        high, low = divmod(uid, stride * n)
-        return num_hosts + i * per_level + high * stride + low % stride
-
-    route = [src]
-    cur = src
-    for i in range(k, -1, -1):
-        want = digit(dst, i)
-        have = digit(cur, i)
-        if have == want:
-            continue
-        nxt = cur + (want - have) * n**i
-        route.append(switch_of(cur, i))
-        route.append(nxt)
-        cur = nxt
     return route
 
 
@@ -383,31 +355,31 @@ def resolve_routing_mode(topology: Topology, mode: str = "auto") -> str:
     return mode
 
 
-def route_provider(
-    topology: Topology, mode: str = "auto"
-) -> Callable[[int, int, random.Random], Route]:
+ROUTERS: dict[str, Callable[[Topology], Router]] = {
+    "ecmp": ecmp_router,
+    "fat-tree": fat_tree_router,
+    "dcell": dcell_router,
+    "bcube": bcube_router,
+}
+
+
+def route_provider(topology: Topology, mode: str = "auto") -> Router:
     """Return a ``(src, dst, rng) -> Route`` function for the given mode.
 
-    Modes: "auto" (specialized when the builder has one, else ECMP),
-    "ecmp", "fat-tree", "dcell", "bcube". Whatever a mode precomputes is
-    built here, once per topology, and a topology the mode cannot route
-    raises :class:`TopologyError` here rather than at the first lookup.
+    Modes: "auto" (specialized when the builder has one, else ECMP), and
+    the keys of :data:`ROUTERS`: "ecmp", "fat-tree", "dcell", "bcube". The
+    mode's factory runs here, once per topology: it builds what a lookup
+    reads, and a topology the mode cannot route raises
+    :class:`TopologyError` here rather than at the first lookup.
     Costs, measured on a 2-vCPU VM: "fat-tree" builds its tables in one
     pass over the links (about 5 ms on fat tree k=16) and a lookup indexes
     them (about 3 us there). "ecmp" builds :func:`compute_ecmp_tables` and
-    a lookup walks them. "dcell" and "bcube" compute each route from the
-    addresses, about 3.5 us per lookup on DCell(4,2) and BCube(4,3).
+    a lookup walks them. "dcell" and "bcube" read their builder parameters
+    once, and a lookup computes the route from the addresses, about
+    3 us on DCell(4,2) and 2 us on BCube(4,3).
     """
     mode = resolve_routing_mode(topology, mode)
-    if mode == "fat-tree":
-        return fat_tree_router(topology)
-    if mode == "dcell":
-        _builder_params(topology, "dcell")
-        return lambda src, dst, rng: dcell_route(topology, src, dst)
-    if mode == "bcube":
-        _builder_params(topology, "bcube")
-        return lambda src, dst, rng: bcube_route(topology, src, dst)
-    if mode == "ecmp":
-        tables = compute_ecmp_tables(topology)
-        return lambda src, dst, rng: ecmp_walk_random(tables, src, dst, rng)
-    raise TopologyError(f"unknown routing mode {mode!r}")
+    factory = ROUTERS.get(mode)
+    if factory is None:
+        raise TopologyError(f"unknown routing mode {mode!r}")
+    return factory(topology)

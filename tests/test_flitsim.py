@@ -187,3 +187,11 @@ def test_link_latency_other_than_the_simulated_one_rejected(latency):
     matching = SimConfig(injection_rate=0.05, sim_cycles=400, link_latency=latency)
     stats = run_simulation(topo, config=matching)
     assert stats.avg_packet_latency == 2 * (matching.router_pipeline + latency)
+
+
+@pytest.mark.parametrize("warmup", [-1000, -1, 400])
+def test_warmup_outside_the_run_rejected(warmup):
+    # a negative warmup would widen the measured window past the run
+    config = SimConfig(injection_rate=0.1, sim_cycles=400, warmup_cycles=warmup)
+    with pytest.raises(TopologyError, match="warmup"):
+        run_simulation(build_fat_tree(2), config=config)

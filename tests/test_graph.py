@@ -7,6 +7,7 @@ from dcnbench.graph import (
     Node,
     NodeKind,
     Topology,
+    TopologyError,
     ValidationError,
     bfs_distances,
     export_edge_list,
@@ -59,6 +60,15 @@ def test_disconnected_reported():
     nodes = [Node(0, NodeKind.SWITCH, 4), Node(1, NodeKind.SWITCH, 4)]
     report = validate(Topology(nodes, []))
     assert any("disconnected" in v for v in report)
+
+
+@pytest.mark.parametrize("stray", [Link(1, 9), Link(-1, 2)])
+def test_link_endpoint_outside_node_ids_rejected(stray):
+    # kept in ``links`` but left out of the adjacency, such a link would pass
+    # validate and make later metrics and simulations index past the end
+    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 2), Node(2, NodeKind.SWITCH, 2)]
+    with pytest.raises(TopologyError, match=f"link 2 \\({stray.a}-{stray.b}\\)"):
+        Topology(nodes, [Link(0, 2), Link(1, 2), stray])
 
 
 def test_export_star_line_counts():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dcnbench.graph import Link, Node, NodeKind, Topology, TopologyError, bfs_distances
+from dcnbench.graph import Link, Node, NodeKind, Topology, TopologyError, bfs_distances, import_edge_list
 from dcnbench.builders import (
     PRESETS,
     build_bcube,
@@ -357,6 +357,17 @@ def test_failure_experiment_deterministic():
     a = failure_experiment(topo, 0.2, trials=5, seed=7)
     b = failure_experiment(topo, 0.2, trials=5, seed=7)
     assert a == b
+
+
+def test_failure_experiment_needs_a_trial():
+    with pytest.raises(TopologyError, match="trial"):
+        failure_experiment(build_fat_tree(4), 0.1, trials=0)
+
+
+def test_failure_experiment_needs_two_hosts():
+    one_host = import_edge_list("node 0 host 1 -\nnode 1 switch 4 -\nlink 0 1 1 10\n")
+    with pytest.raises(TopologyError, match="two hosts"):
+        failure_experiment(one_host, 0.0, trials=1)
 
 
 # --- report ----------------------------------------------------------------

@@ -20,13 +20,11 @@ from dcnbench.graph import (
 from dcnbench.builders import PRESETS, build_bcube, build_dcell, build_f10, build_fat_tree, build_preset
 from dcnbench.flitsim import SimConfig, run_simulation
 from dcnbench.routing import (
-    bcube_route,
+    bcube_router,
     check_route,
     compute_ecmp_tables,
-    dcell_route,
-    ecmp_select,
-    ecmp_walk_hashed,
-    ecmp_walk_random,
+    dcell_router,
+    ecmp_router,
     f10_reroute,
     fat_tree_router,
     route_provider,
@@ -123,19 +121,8 @@ def test_ecmp_walk_terminates_everywhere():
                 cur = tables[cur][dst][0]
                 steps += 1
                 assert steps <= topo.num_nodes
-    route = ecmp_walk_random(tables, 0, 15, rng)
+    route = ecmp_router(topo)(0, 15, rng)
     check_route(topo, route)
-
-
-def test_ecmp_select_basics():
-    assert ecmp_select([7], 123) == 7
-    assert ecmp_select([3, 9], 42) == ecmp_select([9, 3], 42)
-
-
-def test_ecmp_select_uniform():
-    picks = [ecmp_select([1, 2], fid) for fid in range(10_000)]
-    share = picks.count(1) / len(picks)
-    assert 0.45 <= share <= 0.55
 
 
 # --- fat-tree routing --------------------------------------------------------
@@ -393,7 +380,7 @@ def test_fat_tree_router_raises_on_broken_descent(rewire, dst, message):
 
 def test_dcell_same_cell():
     topo = build_dcell(4, 1)
-    route = dcell_route(topo, 0, 1)
+    route = dcell_router(topo)(0, 1, random.Random(0))
     assert len(route) - 1 == 2
     check_route(topo, route)
 
@@ -401,7 +388,7 @@ def test_dcell_same_cell():
 def test_dcell_direct_intercell_link():
     topo = build_dcell(4, 1)
     # cell 0 host 0 (uid 0) and cell 1 host 0 (uid 4) are directly linked
-    route = dcell_route(topo, 0, 4)
+    route = dcell_router(topo)(0, 4, random.Random(0))
     assert route == [0, 4]
     check_route(topo, route)
 
@@ -414,9 +401,10 @@ def host_hops(topology, route):
 @pytest.mark.parametrize("n,level", [(4, 1), (2, 2)])
 def test_dcell_route_sweep(n, level):
     topo = build_dcell(n, level)
+    router = dcell_router(topo)
     bound = 2 ** (level + 1) - 1
     for src, dst in itertools.combinations(topo.hosts, 2):
-        route = dcell_route(topo, src, dst)
+        route = router(src, dst, random.Random(0))
         check_route(topo, route)
         dist = bfs_distances(topo, src)[dst]
         assert len(route) - 1 >= dist
@@ -428,14 +416,14 @@ def test_dcell_route_sweep(n, level):
 
 def test_bcube_single_digit():
     topo = build_bcube(4, 1)
-    route = bcube_route(topo, 0, 1)  # digits differ only in position 0
+    route = bcube_router(topo)(0, 1, random.Random(0))  # digits differ only in position 0
     assert len(route) - 1 == 2
     check_route(topo, route)
 
 
 def test_bcube_two_digit_route():
     topo = build_bcube(4, 1)
-    route = bcube_route(topo, 0, 15)  # (0,0) -> (3,3), hamming 2
+    route = bcube_router(topo)(0, 15, random.Random(0))  # (0,0) -> (3,3), hamming 2
     assert len(route) - 1 == 4
     switches = [v for v in route if topo.nodes[v].kind is NodeKind.SWITCH]
     assert len(switches) == 2
@@ -455,8 +443,9 @@ def hamming(a, b, n, k):
 @pytest.mark.parametrize("n,k", [(2, 2), (4, 1)])
 def test_bcube_route_links_equal_twice_hamming(n, k):
     topo = build_bcube(n, k)
+    router = bcube_router(topo)
     for src, dst in itertools.combinations(topo.hosts, 2):
-        route = bcube_route(topo, src, dst)
+        route = router(src, dst, random.Random(0))
         check_route(topo, route)
         assert len(route) - 1 == 2 * hamming(src, dst, n, k)
         dist = bfs_distances(topo, src)[dst]
@@ -620,11 +609,3 @@ def test_route_provider_ecmp_mode():
     check_route(topo, route)
     assert len(route) - 1 == bfs_distances(topo, 0)[19]
 
-
-def test_ecmp_walk_hashed_deterministic():
-    topo = build_fat_tree(4)
-    tables = compute_ecmp_tables(topo)
-    a = ecmp_walk_hashed(tables, 0, 15, flow_id=99)
-    b = ecmp_walk_hashed(tables, 0, 15, flow_id=99)
-    assert a == b
-    check_route(topo, a)
