@@ -45,17 +45,53 @@ def test_source_drops_split_from_network_drops(run, expected):
 
 # (preset, pattern, rate, cycles, seed, vcs_per_port, vc_depth) ->
 # (packets_received, dropped, retransmitted, avg_packet_latency,
-# packets_due_window). A change that moves any of these changes what the
-# simulator computes; the small pools make drops and retransmits frequent.
+# packets_due_window,
+#  packets_generated, packets_injected, dropped_at_source, in_flight,
+#  awaiting_retransmit, source_queued, links with utilization, sum of
+#  per-link utilization). A change that moves any of these changes what the
+# simulator computes, including its VC, port and utilization bookkeeping;
+# the small pools make drops and retransmits frequent.
 GOLDEN = [
-    (("fat-tree-k4", "uniform", 0.5, 600, 1, 100, 4), (4131, 0, 0, 83.69202722411279, 4127)),
-    (("fat-tree-k4", "uniform", 1.0, 600, 1, 2, 1), (547, 8867, 8719, 236.12915129151293, 8241)),
-    (("dcell-n4-l1", "tornado", 0.7, 600, 2, 4, 2), (2093, 8713, 8563, 159.99853300733497, 7493)),
-    (("bcube-n4-k1", "complement", 1.0, 600, 3, 3, 3), (4896, 4144, 4032, 160.72875816993465, 8640)),
-    (("jellyfish-s10-p4-r3", "uniform", 1.0, 2000, 1, 100, 4), (15990, 109, 106, 238.56134431097314, 17982)),
-    (("f10-k4", "reverse", 0.4, 600, 4, 2, 2), (1073, 5468, 5370, 177.88909599254427, 2380)),
-    (("fat-tree-k4-paper", "complement", 0.05, 600, 2, 100, 4), (195, 0, 0, 90.0051282051282, 195)),
-    (("facebook-scaled", "uniform", 0.3, 400, 5, 8, 1), (4902, 221, 217, 60.79824561403509, 4913)),
+    (
+        ("fat-tree-k4", "uniform", 0.5, 600, 1, 100, 4),
+        (4131, 0, 0, 83.69202722411279, 4127,
+         4803, 4769, 0, 638, 0, 34, 48, 22.538888888888888),
+    ),
+    (
+        ("fat-tree-k4", "uniform", 1.0, 600, 1, 2, 1),
+        (547, 8867, 8719, 236.12915129151293, 8241,
+         9600, 1173, 8303, 106, 148, 8799, 48, 4.54074074074074),
+    ),
+    (
+        ("dcell-n4-l1", "tornado", 0.7, 600, 2, 4, 2),
+        (2093, 8713, 8563, 159.99853300733497, 7493,
+         8452, 4166, 5759, 307, 150, 5902, 25, 13.52962962962963),
+    ),
+    (
+        ("bcube-n4-k1", "complement", 1.0, 600, 3, 3, 3),
+        (4896, 4144, 4032, 160.72875816993465, 8640,
+         9600, 5376, 4144, 480, 112, 4112, 32, 17.925925925925917),
+    ),
+    (
+        ("jellyfish-s10-p4-r3", "uniform", 1.0, 2000, 1, 100, 4),
+        (15990, 109, 106, 238.56134431097314, 17982,
+         20000, 19841, 109, 3851, 3, 156, 25, 17.834444444444443),
+    ),
+    (
+        ("f10-k4", "reverse", 0.4, 600, 4, 2, 2),
+        (1073, 5468, 5370, 177.88909599254427, 2380,
+         2814, 1542, 4959, 201, 98, 1442, 44, 7.951851851851853),
+    ),
+    (
+        ("fat-tree-k4-paper", "complement", 0.05, 600, 2, 100, 4),
+        (195, 0, 0, 90.0051282051282, 195,
+         236, 235, 0, 40, 0, 1, 40, 1.2722222222222228),
+    ),
+    (
+        ("facebook-scaled", "uniform", 0.3, 400, 5, 8, 1),
+        (4902, 221, 217, 60.79824561403509, 4913,
+         5774, 5692, 221, 790, 4, 78, 240, 30.722222222222225),
+    ),
 ]
 
 
@@ -67,9 +103,12 @@ def test_seeded_results_are_pinned(run, expected):
         pattern=getattr(TrafficPattern, pattern)(),
     )
     stats = run_simulation(build_preset(preset), config=config)
+    util = stats.per_link_utilization
     got = (
         stats.packets_received, stats.dropped, stats.retransmitted, stats.avg_packet_latency,
         stats.packets_due_window,
+        stats.packets_generated, stats.packets_injected, stats.dropped_at_source, stats.in_flight,
+        stats.awaiting_retransmit, stats.source_queued, len(util), sum(util.values()),
     )
     assert got == expected
 
