@@ -8,6 +8,10 @@ each. Hosts are routers too, so server-centric topologies forward through
 hosts with the same pipeline. Each source queues its packets in one
 unbounded injection queue.
 
+All per-port and per-channel state lives in plain lists indexed by port or
+channel id, built once before the first cycle; a link port's VC queues are
+made when a packet first opens them.
+
 Switch allocation is separable and round-robin like garnet's: each input port
 puts forward at most one VC head per cycle, each output port grants at most
 one packet per cycle, and a packet departs only when the downstream input
@@ -22,6 +26,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional
 
 from .graph import Topology, TopologyError
@@ -55,8 +60,10 @@ class SimConfig:
             raise TopologyError("need 0 <= warmup_cycles < sim_cycles")
         if self.vcs_per_port < 1 or self.vc_depth < 1:
             raise TopologyError("vcs_per_port and vc_depth must be >= 1")
-        if self.router_pipeline < 0 or self.link_latency < 1:
-            raise TopologyError("bad pipeline/link parameters")
+        # an injected head is due ``router_pipeline`` cycles later; at 0 it
+        # would be due in a ready phase that has already run, and never leave
+        if self.router_pipeline < 1 or self.link_latency < 1:
+            raise TopologyError("router_pipeline and link_latency must be >= 1")
 
 
 @dataclass
@@ -103,12 +110,16 @@ class _Port:
     A link port has vcs_per_port VCs sharing a pool of vcs_per_port *
     vc_depth packets; an injection port has one VC whose pool is never
     checked, so a source queue is unbounded.
+
+    ``vcs[i]`` is VC i's queue. It is made when the VC is first opened, and
+    VCs first open in id order: VC i reaches the front of ``open_vcs`` only
+    after VCs 0..i-1 have each been there, so ``vcs`` grows by appends.
     """
 
     __slots__ = ("vcs", "pool", "ready", "open_vcs", "is_open")
 
     def __init__(self, vcs: int):
-        self.vcs = [deque() for _ in range(vcs)]
+        self.vcs: list[deque] = []
         self.pool = 0
         self.ready = deque()  # vc indices whose head is ready for allocation
         self.open_vcs = deque(range(vcs))
@@ -157,13 +168,30 @@ def run_simulation(
     if config is None:
         raise TopologyError("run_simulation needs a SimConfig")
     config.check()
-    # every channel takes config.link_latency cycles; refuse links that say otherwise
-    for idx, link in enumerate(topology.links):
+    num_nodes = topology.num_nodes
+    num_links = len(topology.links)
+    num_ports = 2 * num_links + num_nodes
+    # directed channel c: 2*i = a->b, 2*i+1 = b->a for link i. Input port
+    # 2*links + v is node v's injection port.
+    out_chan: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
+    in_ports: list[list[int]] = [[2 * num_links + v] for v in range(num_nodes)]  # SA-II ordering
+    for i, link in enumerate(topology.links):
+        # every channel takes config.link_latency cycles; refuse links that say otherwise
         if link.latency != config.link_latency:
             raise TopologyError(
-                f"link {idx} has latency {link.latency}, but the simulator gives "
+                f"link {i} has latency {link.latency}, but the simulator gives "
                 f"every link config.link_latency={config.link_latency}"
             )
+        # a channel is found by its end nodes, so a second link between them would carry nothing
+        if link.b in out_chan[link.a]:
+            raise TopologyError(
+                f"link {i} duplicates link {out_chan[link.a][link.b] // 2} between nodes "
+                f"{link.a} and {link.b}; the simulator needs one link per node pair"
+            )
+        out_chan[link.a][link.b] = 2 * i
+        out_chan[link.b][link.a] = 2 * i + 1
+        in_ports[link.b].append(2 * i)
+        in_ports[link.a].append(2 * i + 1)
     routing_mode = resolve_routing_mode(topology, routing_mode)
     provider = route_provider(topology, routing_mode)
     rng = random.Random(config.seed)
@@ -179,38 +207,23 @@ def run_simulation(
     rate = config.injection_rate
     hop_cycles = pipeline + link_latency  # zero-load cycles per hop
 
-    num_nodes = topology.num_nodes
-    num_links = len(topology.links)
-    # directed channel c: 2*i = a->b, 2*i+1 = b->a for link i.
-    out_chan: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
-    in_ports: list[list[int]] = [[] for _ in range(num_nodes)]  # SA-II ordering
-    for v in range(num_nodes):
-        in_ports[v].append(2 * num_links + v)  # injection port first
-    for i, link in enumerate(topology.links):
-        out_chan[link.a][link.b] = 2 * i
-        out_chan[link.b][link.a] = 2 * i + 1
-        in_ports[link.b].append(2 * i)
-        in_ports[link.a].append(2 * i + 1)
-    local_index: dict[int, int] = {}
-    port_owner = [0] * (2 * num_links + num_nodes)
+    local_index = [0] * num_ports
+    port_owner = [0] * num_ports
     for v in range(num_nodes):
         for idx, port in enumerate(in_ports[v]):
             local_index[port] = idx
             port_owner[port] = v
 
-    ports: dict[int, _Port] = {}
-
-    def get_port(port_id: int) -> _Port:
-        port = ports.get(port_id)
-        if port is None:
-            port = ports[port_id] = _Port(1 if port_id >= 2 * num_links else config.vcs_per_port)
-        return port
+    ports = [_Port(config.vcs_per_port) for _ in range(2 * num_links)]
+    for _ in range(num_nodes):
+        ports.append(_Port(1))
+        ports[-1].vcs.append(deque())  # the source queue
 
     arrivals: dict[int, list] = {}
     ready_events: dict[int, list] = {}
     requeues: dict[int, list] = {}
-    armed: dict[int, bool] = {}
-    rr_out: dict[int, int] = {}
+    armed: dict[int, bool] = {}  # ports whose ``ready`` is non-empty, in arming order
+    rr_out = [0] * (2 * num_links)
 
     stats_generated = 0
     stats_due_window = 0
@@ -221,7 +234,7 @@ def run_simulation(
     stats_dropped_at_source = 0
     stats_retransmitted = 0
     latency_sum = 0
-    departures: dict[int, int] = {}
+    departures = [0] * (2 * num_links)
     in_network = 0
     awaiting_retransmit = 0  # dropped, waiting out the retransmission backoff
 
@@ -230,7 +243,7 @@ def run_simulation(
 
     def enqueue_source(pkt: _Packet, now: int) -> None:
         port_id = 2 * num_links + pkt.src
-        port = get_port(port_id)
+        port = ports[port_id]
         pkt.base_t = now
         pkt.hop = 0
         port.pool += 1
@@ -250,15 +263,18 @@ def run_simulation(
             port.open_vcs.append(vc)
         if q:
             schedule_ready(port_id, vc, max(now + 1, q[0].base_t + pipeline))
-        if not port.ready and port_id in armed:
+        if not port.ready:
             del armed[port_id]
         return pkt
 
     def place_arrival(pkt: _Packet, port_id: int, now: int) -> None:
         port = ports[port_id]  # pool slot was reserved at departure
+        vcs = port.vcs
         while True:
             vc = port.open_vcs[0]
-            q = port.vcs[vc]
+            if vc == len(vcs):  # first opening of this VC
+                vcs.append(deque())
+            q = vcs[vc]
             if len(q) < vc_depth:
                 break
             port.open_vcs.popleft()
@@ -287,8 +303,7 @@ def run_simulation(
             enqueue_source(pkt, t)
         # heads become eligible for allocation
         for port_id, vc in ready_events.pop(t, ()):
-            port = ports[port_id]
-            port.ready.append(vc)
+            ports[port_id].ready.append(vc)
             armed[port_id] = True
         # injection
         for i in active:
@@ -301,37 +316,24 @@ def run_simulation(
             if warmup <= t + (len(pkt.path) - 1) * hop_cycles < sim_cycles:
                 stats_due_window += 1
             enqueue_source(pkt, t)
-        # switch allocation, phase A: one creditable VC head per input port
+        # switch allocation, phase A: one creditable VC head per input port.
+        # An armed port has a ready VC (a ready event arms it, and pop_head
+        # disarms it when ``ready`` empties), so a scan that requests nothing
+        # found the front VC blocked.
         requests: dict[int, list] = {}
         for port_id in list(armed):
             port = ports[port_id]
-            ready = port.ready
-            if not ready:
-                del armed[port_id]
-                continue
             node = port_owner[port_id]
-            chosen = -1
-            chosen_chan = -1
-            front_pool_full = False
-            scanned = []
-            for _ in range(min(len(ready), _SCAN_LIMIT)):
-                vc = ready.popleft()
-                scanned.append(vc)
+            for vc in islice(port.ready, _SCAN_LIMIT):
                 pkt = port.vcs[vc][0]
                 nxt = pkt.path[pkt.hop + 1]
                 chan = out_chan[node][nxt]
-                if nxt == pkt.dst or get_port(chan).pool < pool_capacity:
-                    chosen, chosen_chan = vc, chan
+                if nxt == pkt.dst or ports[chan].pool < pool_capacity:
+                    requests.setdefault(chan, []).append((port_id, vc))
                     break
-                if len(scanned) == 1:
-                    front_pool_full = True
-            for vc in reversed(scanned):
-                ready.appendleft(vc)
-            if chosen >= 0:
-                requests.setdefault(chosen_chan, []).append((port_id, chosen))
-            elif front_pool_full:
+            else:
                 # head-of-line packet's next hop is full: drop and retransmit
-                pkt = pop_head(port_id, port, ready.popleft(), t)
+                pkt = pop_head(port_id, port, port.ready.popleft(), t)
                 stats_dropped += 1
                 if pkt.hop == 0:  # a packet still at its source was never in the network
                     stats_dropped_at_source += 1
@@ -346,7 +348,7 @@ def run_simulation(
             else:
                 upstream = port_owner[cands[0][0]]
                 n_local = len(in_ports[upstream])
-                pointer = rr_out.get(chan, 0)
+                pointer = rr_out[chan]
                 winner = min(
                     cands,
                     key=lambda c: (local_index[c[0]] - pointer) % n_local,
@@ -366,20 +368,16 @@ def run_simulation(
             if nxt != pkt.dst:
                 ports[chan].pool += 1
             if t >= warmup:
-                departures[chan] = departures.get(chan, 0) + 1
+                departures[chan] += 1
             arrivals.setdefault(t + link_latency, []).append((pkt, nxt, chan))
 
     measured = sim_cycles - warmup
     reception_rate = stats_received_window / len(active) / measured
-    source_queued = sum(
-        len(ports[2 * num_links + hosts[i]].vcs[0])
-        for i in active
-        if (2 * num_links + hosts[i]) in ports
-    )
+    source_queued = sum(len(ports[2 * num_links + hosts[i]].vcs[0]) for i in active)
     util: dict[int, float] = {}
     for i in range(num_links):
-        fwd = departures.get(2 * i, 0)
-        rev = departures.get(2 * i + 1, 0)
+        fwd = departures[2 * i]
+        rev = departures[2 * i + 1]
         if fwd or rev:
             util[i] = max(fwd, rev) / measured
     return SimStats(

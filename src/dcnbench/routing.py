@@ -11,6 +11,8 @@ Every routing mode is one router factory of one shape,
 factory checks its topology and computes everything a lookup reads once;
 the callable it returns only indexes those tables or does integer
 arithmetic on the addresses. :func:`route_provider` picks the factory.
+Every lookup raises :class:`TopologyError` when ``src == dst`` or an
+endpoint is not a host, with an O(1) test.
 """
 
 from __future__ import annotations
@@ -91,8 +93,13 @@ def ecmp_router(topology: Topology) -> Router:
     ``rng.randrange(n)`` only where a node has ``n > 1`` next hops.
     """
     tables = compute_ecmp_tables(topology)
+    host_set = frozenset(topology.hosts)
 
     def route(src: int, dst: int, rng: random.Random) -> Route:
+        if src == dst:
+            raise TopologyError("src and dst must differ")
+        if src not in host_set or dst not in host_set:
+            raise TopologyError(f"{dst if src in host_set else src} is not a host")
         path = [src]
         cur = src
         while cur != dst:
@@ -198,7 +205,7 @@ def dcell_router(topology: Topology) -> Router:
     both halves. Intra-cell segments go through the cell switch.
 
     Reads ``n``, the sub-cell sizes ``t``, the level and the host count once;
-    a lookup makes no ``rng`` call.
+    a lookup makes no ``rng`` call. Hosts are nodes ``0..num_hosts-1``.
     """
     params = _builder_params(topology, "dcell")
     n = params["n"]
@@ -229,6 +236,8 @@ def dcell_router(topology: Topology) -> Router:
     def route(src: int, dst: int, rng: random.Random) -> Route:
         if src == dst:
             raise TopologyError("src and dst must differ")
+        if not (0 <= src < num_hosts and 0 <= dst < num_hosts):
+            raise TopologyError(f"{dst if 0 <= src < num_hosts else src} is not a host")
         return rec(src, dst, top, 0)
 
     return route
@@ -241,15 +250,18 @@ def bcube_router(topology: Topology) -> Router:
 
     Per level, from ``k`` down to 0, the digit stride ``n**i`` and the id of
     the level's first switch are computed once; a lookup makes no ``rng``
-    call.
+    call. Hosts are nodes ``0..num_hosts-1``.
     """
     params = _builder_params(topology, "bcube")
     n, k = params["n"], params["k"]
-    levels = [(n**i, topology.num_hosts + i * n**k) for i in range(k, -1, -1)]
+    num_hosts = topology.num_hosts
+    levels = [(n**i, num_hosts + i * n**k) for i in range(k, -1, -1)]
 
     def route(src: int, dst: int, rng: random.Random) -> Route:
         if src == dst:
             raise TopologyError("src and dst must differ")
+        if not (0 <= src < num_hosts and 0 <= dst < num_hosts):
+            raise TopologyError(f"{dst if 0 <= src < num_hosts else src} is not a host")
         path = [src]
         cur = src
         for stride, first_switch in levels:

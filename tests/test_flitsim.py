@@ -4,6 +4,7 @@ from dcnbench.builders import build_fat_tree, build_preset
 from dcnbench.flitsim import SimConfig, run_simulation, saturation_reception_rate, sweep_injection
 from dcnbench.graph import TopologyError, bfs_distances, import_edge_list
 from dcnbench.traffic import TrafficPattern
+from hand_topologies import duplicate_host_links
 
 
 @pytest.mark.parametrize("rate", [0.05, 1.0])
@@ -234,3 +235,20 @@ def test_warmup_outside_the_run_rejected(warmup):
     config = SimConfig(injection_rate=0.1, sim_cycles=400, warmup_cycles=warmup)
     with pytest.raises(TopologyError, match="warmup"):
         run_simulation(build_fat_tree(2), config=config)
+
+
+@pytest.mark.parametrize("field, value", [("router_pipeline", 0), ("router_pipeline", -1), ("link_latency", 0)])
+def test_pipeline_and_link_need_a_cycle(field, value):
+    # at router_pipeline=0 an injected head was due in a ready phase that had
+    # already run, so no packet ever left its source
+    config = SimConfig(injection_rate=0.1, sim_cycles=400, **{field: value})
+    with pytest.raises(TopologyError, match=field):
+        run_simulation(build_fat_tree(2), config=config)
+
+
+def test_parallel_links_rejected():
+    # a channel is found by its end nodes, so the second of two parallel
+    # links used to carry all their traffic and the first none
+    config = SimConfig(injection_rate=1.0, sim_cycles=400)
+    with pytest.raises(TopologyError, match="link 1 duplicates link 0 between nodes 0 and 4"):
+        run_simulation(duplicate_host_links(), config=config)

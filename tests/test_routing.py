@@ -602,6 +602,31 @@ def test_route_provider_rejects_foreign_topology_when_built(build, mode):
             run_simulation(topo, mode, config)
 
 
+# mode -> (topology, one of its switches)
+ENDPOINT_CASES = {
+    "fat-tree": (lambda: build_fat_tree(4), 20),
+    "dcell": (lambda: build_dcell(4, 1), 21),
+    "bcube": (lambda: build_bcube(4, 1), 17),
+    "ecmp": (lambda: build_fat_tree(4), 20),
+}
+
+
+@pytest.mark.parametrize("mode", list(ENDPOINT_CASES))
+def test_every_router_checks_its_endpoints(mode):
+    # a switch endpoint used to give a route ending at another host (BCube),
+    # a route repeating a node (DCell) or a bare KeyError (ECMP)
+    build, switch = ENDPOINT_CASES[mode]
+    topo = build()
+    assert topo.nodes[switch].kind is NodeKind.SWITCH
+    router = route_provider(topo, mode)
+    host = topo.hosts[0]
+    for src, dst in [(host, switch), (switch, host)]:
+        with pytest.raises(TopologyError, match=f"{switch} is not a host"):
+            router(src, dst, random.Random(0))
+    with pytest.raises(TopologyError, match="must differ"):
+        router(host, host, random.Random(0))
+
+
 def test_route_provider_ecmp_mode():
     topo = build_dcell(4, 1)
     provider = route_provider(topo, "ecmp")
