@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dcnbench.graph import NodeKind, export_edge_list, validate
@@ -468,6 +470,131 @@ def test_unknown_preset():
 def test_bad_parameters_rejected(builder, args):
     with pytest.raises(TopologyError):
         builder(*args)
+
+
+# --- pinned output -------------------------------------------------------
+
+
+def builder_digest(topo):
+    """First 16 hex digits of the sha256 of everything a builder returns:
+    nodes (labels and addresses included), links in order, builder_params
+    and taxonomy."""
+    record = (topo.nodes, topo.links, sorted(topo.builder_params.items()), topo.taxonomy)
+    return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+
+
+def jellyfish_expanded(num_switches, ports, r, seed, *expansion_seeds):
+    topo = build_jellyfish(num_switches, ports, r, seed)
+    for expansion_seed in expansion_seeds:
+        topo = expand_jellyfish(topo, ports, r, seed=expansion_seed)
+    return topo
+
+
+# (builder, args, digest). Link order is pinned because the simulator's
+# round-robin arbitration follows it.
+GOLDEN = [
+    (build_fat_tree, (2,), "a5bc53da1c1a0af2"),
+    (build_fat_tree, (4,), "18b308326c563ce9"),
+    (build_fat_tree, (4, 1), "4e435ccf42f96e64"),
+    (build_fat_tree, (4, 3), "20449af39a29fad3"),
+    (build_fat_tree, (6,), "64dbbd83425b47db"),
+    (build_fat_tree, (6, 2), "5762470c3fed96c6"),
+    (build_fat_tree, (8, 1), "e8543b7f52861020"),
+    (build_f10, (4,), "33c7693e4e18ae79"),
+    (build_f10, (4, 1), "a795b5a9f7baf8cf"),
+    (build_f10, (6,), "162304f5ed85096a"),
+    (build_f10, (6, 2), "5f9289a552f6049e"),
+    (build_f10, (8,), "b3d8c50b3cf966f1"),
+    (build_f10, (8, 1), "ee31bf1ae9659e84"),
+    (build_facebook_fabric, (2, 2, 1, 1), "7ddce04d39ef68fc"),
+    (build_facebook_fabric, (3, 2, 2, 1), "c91b0c3d4ed88e01"),
+    (build_facebook_fabric, (2, 2, 1, 2), "022d7aea584e34ca"),
+    (build_facebook_fabric, (48, 4, 1, 1), "7f4e61c48746f585"),
+    (build_facebook_fabric, (3, 2, 1, 2, 2.0, 8.0), "233635631dc2123e"),
+    (build_facebook_fabric, (5, 3, 3, 3), "052b4bebd79d0402"),
+    (build_dcell, (2, 0), "fb4593bd4d9e6aad"),
+    (build_dcell, (3, 0), "d2cf23af71f31eb6"),
+    (build_dcell, (2, 1), "6d270633605102f0"),
+    (build_dcell, (3, 1), "7cbc10f58b980d7b"),
+    (build_dcell, (4, 1), "467e77bb0d048c51"),
+    (build_dcell, (6, 1), "7e9767672af630d4"),
+    (build_dcell, (2, 2), "a843d42257d45862"),
+    (build_dcell, (3, 2), "ca4d8fcbcdbc40c6"),
+    (build_dcell, (2, 3), "228afdf6390fce82"),
+    (build_bcube, (2, 0), "5806ff09cc129873"),
+    (build_bcube, (3, 0), "851433bf93b26bee"),
+    (build_bcube, (2, 1), "9e2a685dbae4fd03"),
+    (build_bcube, (3, 1), "305bf6c2ea7abf2a"),
+    (build_bcube, (4, 1), "794fe16e517f7a2e"),
+    (build_bcube, (2, 2), "a32457b335e21c1c"),
+    (build_bcube, (3, 2), "f977397a3ba563ae"),
+    (build_bcube, (2, 3), "5bdc1b9eec4d6e6b"),
+    (build_bcube, (4, 2), "e4fe41f0c4101459"),
+    (build_mdcube, (1, 1, 2, 1), "4c703d32917eda6c"),
+    (build_mdcube, (1, 2, 2, 1), "420d0c0e0eb71ed6"),
+    (build_mdcube, (2, 1, 2, 1), "7887efc2c4013a30"),
+    (build_mdcube, (1, 3, 2, 1), "180150036385ce2c"),
+    (build_mdcube, (2, 2, 2, 1), "18ffeb2672d444ee"),
+    (build_mdcube, (2, 3, 2, 1), "d489e8f2a5d99df9"),
+    (build_mdcube, (3, 3, 2, 1), "50d7a20e9cf9a0c2"),
+    (build_mdcube, (1, 5, 2, 1), "cf1334f9fadb54e9"),
+    (build_mdcube, (3, 4, 3, 1), "453511758d685869"),
+    (build_mdcube, (2, 3, 2, 2), "ead65ead8042e055"),
+    (build_mdcube, (4, 4, 2, 2), "4f5a0f2a36e7a865"),
+    (build_mdcube, (1, 2, 2, 0), "1f848f63c503385c"),
+    (build_mdcube, (2, 1, 2, 0), "6cccf7b0208b915e"),
+    (build_mdcube, (2, 2, 4, 1), "3c4561b2cfb54625"),
+    (build_jellyfish, (10, 4, 3, 0), "0ccc8d6c2789c194"),
+    (build_jellyfish, (10, 4, 3, 1), "0530f8ca53a9276c"),
+    (build_jellyfish, (12, 6, 3, 3), "f9a36e5929a1a371"),
+    (build_jellyfish, (8, 5, 4, 0), "7e36eb0b1739de84"),
+    (build_jellyfish, (6, 3, 2, 1), "d989861958de27d5"),
+    (build_jellyfish, (16, 8, 5, 2), "d36078f8c2e8a345"),
+    (build_jellyfish, (20, 6, 4, 7), "dee2979967dc9ec5"),
+    (jellyfish_expanded, (10, 4, 3, 1, 2), "3f9b27d4d935cf44"),
+    (jellyfish_expanded, (10, 4, 3, 1, 2, 9), "786082ef5168e8a6"),
+    (jellyfish_expanded, (6, 3, 2, 1, 0, 1), "18a1fc4be75d7ec7"),
+    (jellyfish_expanded, (8, 5, 4, 0, 1, 2), "b240c0dba8385583"),
+    (jellyfish_expanded, (12, 6, 3, 3, 4, 5), "53a0c95e53a21dc2"),
+    (jellyfish_expanded, (16, 8, 5, 2, 3, 3), "6955be22b672b0a6"),
+    (build_scafida, (1, 2, 4), "11d5c4f78fa5350d"),
+    (build_scafida, (5, 0, 3), "26724826ac3882e4"),
+    (build_scafida, (6, 6, 8), "5e750a6a3135e17d"),
+    (build_scafida, (30, 40, 12), "8cdecf88d45bf12d"),
+    (build_scafida, (40, 80, 16), "803bb59bf0b86054"),
+    (build_scafida, (50, 0, 5), "5e7d46b558e251a7"),
+    (build_scafida, (12, 10, 10, 4, 1, 3), "e0c095de88d0114a"),
+    (build_hcn, (2, 0), "6515ac4b6869e58c"),
+    (build_hcn, (4, 0), "e1af4d7049d80233"),
+    (build_hcn, (2, 1), "5068975782dd7e46"),
+    (build_hcn, (2, 2), "bab65d0c03da9fec"),
+    (build_hcn, (2, 3), "902d1c61dc9a2a77"),
+    (build_hcn, (3, 1), "0254b673e44a396d"),
+    (build_hcn, (3, 2), "1e4e4500e4741927"),
+    (build_hcn, (4, 1), "a584374a91e1adec"),
+    (build_hcn, (4, 2), "a44d199d2b7143e1"),
+    (build_bcn, (1, 1, 0), "4c4508748e062f7c"),
+    (build_bcn, (1, 2, 1), "81c1a122de410f21"),
+    (build_bcn, (1, 1, 2), "3b890ac9eb81291b"),
+    (build_bcn, (2, 0, 1), "a1d4e4ee86c50224"),
+    (build_bcn, (2, 2, 0), "4dc0aa3590ebc79a"),
+    (build_bcn, (2, 1, 1), "77f66876a223dea6"),
+    (build_bcn, (2, 2, 2), "e00fdeb891f4dfaf"),
+    (build_bcn, (3, 1, 1), "a36319423fb2a637"),
+    (build_bcn, (3, 2, 1), "6e3d15a22c016f8a"),
+    (build_bcn, (4, 1, 1), "a0375323017354d9"),
+    (build_bcn, (4, 1, 2), "e84f09be6441497f"),
+    (build_bcn, (2, 3, 3), "4c6f6f8e44d7ff5e"),
+]
+
+
+@pytest.mark.parametrize(
+    "builder, args, digest", GOLDEN, ids=[f"{b.__name__}{a}" for b, a, _ in GOLDEN]
+)
+def test_builder_output_is_pinned(builder, args, digest):
+    topo = builder(*args)
+    assert validate(topo) == []
+    assert builder_digest(topo) == digest
 
 
 # --- size cap -----------------------------------------------------------
