@@ -3,13 +3,20 @@
 All builders are pure functions of their parameters (and seed, for the
 randomized ones), assign node ids hosts-first in a canonical order, and
 attach the taxonomy record matching the survey's classification tables.
+
+The recursive server-centric topologies share one construction step, the
+complete join of :func:`_join_complete`: over sub-units 0..g, sub-unit i's
+(j-1)-th member links to sub-unit j's i-th member for every i < j. DCell
+joins its sub-cells with it at every level; HCN and BCN join their modules
+at every level, and BCN its units in the second dimension; MDCube joins the
+containers of each row and of each column through designated switches.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graph import (
     Address,
@@ -33,7 +40,11 @@ class SizeCapError(TopologyError):
 
 
 def size_cap() -> int:
-    return int(os.environ.get("DCNBENCH_SIZE_CAP", DEFAULT_SIZE_CAP))
+    raw = os.environ.get("DCNBENCH_SIZE_CAP", str(DEFAULT_SIZE_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise SizeCapError(f"DCNBENCH_SIZE_CAP must be an integer, got {raw!r}") from None
 
 
 def _check_cap(num_nodes: int, what: str) -> None:
@@ -43,6 +54,16 @@ def _check_cap(num_nodes: int, what: str) -> None:
             f"{what} needs {num_nodes} nodes, above the cap of {cap} "
             f"(override with DCNBENCH_SIZE_CAP)"
         )
+
+
+def _flat_nodes(num_hosts: int, host_radix: int, num_switches: int, switch_radix: int) -> list[Node]:
+    """Hosts ``h<i>`` then switches ``sw<s>``, all with flat addresses."""
+    nodes = [Node(i, NodeKind.HOST, host_radix, label=f"h{i}") for i in range(num_hosts)]
+    nodes += [
+        Node(num_hosts + s, NodeKind.SWITCH, switch_radix, label=f"sw{s}")
+        for s in range(num_switches)
+    ]
+    return nodes
 
 
 FAT_TREE_TAXONOMY = TaxonomyRecord(
@@ -116,9 +137,21 @@ HCN_TAXONOMY = TaxonomyRecord(
 # Fat-tree family
 
 
-def _fat_tree_nodes(k: int, hosts_per_edge: int) -> list[Node]:
+def _fat_tree_family(
+    builder: str, k: int, hosts_per_edge: Optional[int], core_stripe_of_agg
+) -> Topology:
+    """Fat-tree nodes and links (``hosts_per_edge`` defaults to k/2), with the
+    aggregation-to-core wiring given by ``core_stripe_of_agg(pod, agg)``."""
     half = k // 2
+    if hosts_per_edge is None:
+        hosts_per_edge = half
+    if hosts_per_edge < 1:
+        raise TopologyError("hosts_per_edge must be >= 1")
     num_hosts = k * half * hosts_per_edge
+    _check_cap(num_hosts + k * k + half * half, f"{builder}(k={k})")
+    edge_base = num_hosts
+    agg_base = edge_base + k * half
+    core_base = agg_base + k * half
     switch_radix = max(k, hosts_per_edge + half)
     nodes = []
     for p in range(k):
@@ -134,50 +167,28 @@ def _fat_tree_nodes(k: int, hosts_per_edge: int) -> list[Node]:
                         label=f"h-p{p}e{e}n{h}",
                     )
                 )
-    base = num_hosts
-    for p in range(k):
-        for e in range(half):
-            nodes.append(
-                Node(
-                    base + p * half + e,
-                    NodeKind.SWITCH,
-                    switch_radix,
-                    Address((1, p, e, 0), AddressScheme.FAT_TREE_POD),
-                    label=f"edge-p{p}e{e}",
+    for layer, base, name, letter in ((1, edge_base, "edge", "e"), (2, agg_base, "agg", "a")):
+        for p in range(k):
+            for i in range(half):
+                nodes.append(
+                    Node(
+                        base + p * half + i,
+                        NodeKind.SWITCH,
+                        switch_radix,
+                        Address((layer, p, i, 0), AddressScheme.FAT_TREE_POD),
+                        label=f"{name}-p{p}{letter}{i}",
+                    )
                 )
-            )
-    base += k * half
-    for p in range(k):
-        for a in range(half):
-            nodes.append(
-                Node(
-                    base + p * half + a,
-                    NodeKind.SWITCH,
-                    switch_radix,
-                    Address((2, p, a, 0), AddressScheme.FAT_TREE_POD),
-                    label=f"agg-p{p}a{a}",
-                )
-            )
-    base += k * half
     for c in range(half * half):
         nodes.append(
             Node(
-                base + c,
+                core_base + c,
                 NodeKind.SWITCH,
                 switch_radix,
                 Address((3, k, c // half, c % half), AddressScheme.FAT_TREE_POD),
                 label=f"core-{c}",
             )
         )
-    return nodes
-
-
-def _fat_tree_links(k: int, hosts_per_edge: int, core_stripe_of_agg) -> list[Link]:
-    half = k // 2
-    num_hosts = k * half * hosts_per_edge
-    edge_base = num_hosts
-    agg_base = edge_base + k * half
-    core_base = agg_base + k * half
     links = []
     for p in range(k):
         for e in range(half):
@@ -191,23 +202,9 @@ def _fat_tree_links(k: int, hosts_per_edge: int, core_stripe_of_agg) -> list[Lin
             agg = agg_base + p * half + a
             for core in core_stripe_of_agg(p, a):
                 links.append(Link(agg, core_base + core))
-    return links
-
-
-def _fat_tree_family(
-    builder: str, k: int, hosts_per_edge: Optional[int], core_stripe_of_agg
-) -> Topology:
-    """Fat-tree nodes and links (``hosts_per_edge`` defaults to k/2), with the
-    aggregation-to-core wiring given by ``core_stripe_of_agg(pod, agg)``."""
-    half = k // 2
-    if hosts_per_edge is None:
-        hosts_per_edge = half
-    if hosts_per_edge < 1:
-        raise TopologyError("hosts_per_edge must be >= 1")
-    _check_cap(k * half * hosts_per_edge + k * k + half * half, f"{builder}(k={k})")
     return Topology(
-        _fat_tree_nodes(k, hosts_per_edge),
-        _fat_tree_links(k, hosts_per_edge, core_stripe_of_agg),
+        nodes,
+        links,
         taxonomy=FAT_TREE_TAXONOMY,
         builder_params={"builder": builder, "k": k, "hosts_per_edge": hosts_per_edge},
     )
@@ -317,6 +314,21 @@ def build_facebook_fabric(
 
 
 # ---------------------------------------------------------------------------
+# Complete join of sub-units (DCell, HCN, BCN, MDCube)
+
+
+def _join_complete(groups: Sequence[Sequence[int]]) -> list[Link]:
+    """One link per pair of sub-units i < j, from sub-unit i's (j-1)-th
+    member to sub-unit j's i-th member, in (i, j) order. Each sub-unit needs
+    at least ``len(groups) - 1`` members."""
+    return [
+        Link(groups[i][j - 1], groups[j][i])
+        for i in range(len(groups))
+        for j in range(i + 1, len(groups))
+    ]
+
+
+# ---------------------------------------------------------------------------
 # DCell
 
 
@@ -374,11 +386,10 @@ def build_dcell(n: int, level: int) -> Topology:
     for m in range(1, level + 1):
         sub = ts[m - 1]
         cell_size = ts[m]
-        for cell in range(num_hosts // cell_size):
-            base = cell * cell_size
-            for i in range(sub + 1):
-                for j in range(i + 1, sub + 1):
-                    links.append(Link(base + i * sub + (j - 1), base + j * sub + i))
+        for base in range(0, num_hosts, cell_size):
+            links += _join_complete(
+                [range(start, start + sub) for start in range(base, base + cell_size, sub)]
+            )
     return Topology(
         nodes,
         links,
@@ -391,34 +402,32 @@ def build_dcell(n: int, level: int) -> Topology:
 # BCube and MDCube
 
 
+def _base_digits(x: int, n: int, count: int) -> tuple[int, ...]:
+    """The ``count`` lowest base-n digits of x, most significant first."""
+    digits = []
+    for _ in range(count):
+        digits.append(x % n)
+        x //= n
+    digits.reverse()
+    return tuple(digits)
+
+
 def _bcube_parts(n: int, k: int):
     """Node and link lists for one BCube(n, k), ids starting at 0 hosts-first."""
     num_hosts = n ** (k + 1)
     per_level = n**k
     nodes = []
     for uid in range(num_hosts):
-        digits = []
-        rest = uid
-        for _ in range(k + 1):
-            digits.append(rest % n)
-            rest //= n
-        digits.reverse()  # (d_k, ..., d_0)
         nodes.append(
             Node(uid, NodeKind.HOST, k + 1,
-                 Address(tuple(digits), AddressScheme.BCUBE_DIGITS),
+                 Address(_base_digits(uid, n, k + 1), AddressScheme.BCUBE_DIGITS),
                  label=f"h{uid}")
         )
     for i in range(k + 1):
         for m in range(per_level):
-            digits = []
-            rest = m
-            for _ in range(k):
-                digits.append(rest % n)
-                rest //= n
-            digits.reverse()
             nodes.append(
                 Node(num_hosts + i * per_level + m, NodeKind.SWITCH, n,
-                     Address((i,) + tuple(digits), AddressScheme.BCUBE_DIGITS),
+                     Address((i,) + _base_digits(m, n, k), AddressScheme.BCUBE_DIGITS),
                      label=f"sw-l{i}-{m}")
             )
     links = []
@@ -481,7 +490,7 @@ def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
         hbase = q * per_hosts
         for node in bnodes[:per_hosts]:
             nodes.append(
-                Node(hbase + node.id, NodeKind.HOST, node.radix + 0,
+                Node(hbase + node.id, NodeKind.HOST, node.radix,
                      Address(), label=f"c{q}-{node.label}")
             )
     for q in range(containers):
@@ -495,26 +504,21 @@ def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
     for q in range(containers):
         hbase = q * per_hosts
         sbase = host_total + q * per_switches
-        for link in blinks:
-            a = hbase + link.a if link.a < per_hosts else sbase + (link.a - per_hosts)
-            b = hbase + link.b if link.b < per_hosts else sbase + (link.b - per_hosts)
-            links.append(Link(a, b))
+        for link in blinks:  # BCube links run host to switch
+            links.append(Link(hbase + link.a, sbase + (link.b - per_hosts)))
 
-    def switch_id(q: int, idx: int) -> int:
-        return host_total + q * per_switches + idx
-
+    # a container's first cols-1 switches join its row, the next rows-1 its column
+    first_switch = [host_total + q * per_switches for q in range(containers)]
     for r in range(rows):
-        for c1 in range(cols):
-            for c2 in range(c1 + 1, cols):
-                q1, q2 = r * cols + c1, r * cols + c2
-                links.append(Link(switch_id(q1, c2 - 1), switch_id(q2, c1)))
+        links += _join_complete(
+            [range(first_switch[q], first_switch[q] + cols - 1)
+             for q in range(r * cols, (r + 1) * cols)]
+        )
     for c in range(cols):
-        for r1 in range(rows):
-            for r2 in range(r1 + 1, rows):
-                q1, q2 = r1 * cols + c, r2 * cols + c
-                links.append(
-                    Link(switch_id(q1, (cols - 1) + r2 - 1), switch_id(q2, (cols - 1) + r1))
-                )
+        links += _join_complete(
+            [range(first_switch[q] + cols - 1, first_switch[q] + inter_per_container)
+             for q in range(c, containers, cols)]
+        )
     return Topology(
         nodes,
         links,
@@ -601,13 +605,7 @@ def _jellyfish_topology(
 ) -> Topology:
     hosts_per_switch = ports - r
     num_hosts = num_switches * hosts_per_switch
-    nodes = [
-        Node(i, NodeKind.HOST, 1, label=f"h{i}") for i in range(num_hosts)
-    ]
-    nodes += [
-        Node(num_hosts + s, NodeKind.SWITCH, ports, label=f"sw{s}")
-        for s in range(num_switches)
-    ]
+    nodes = _flat_nodes(num_hosts, 1, num_switches, ports)
     links = []
     for s in range(num_switches):
         for h in range(hosts_per_switch):
@@ -644,35 +642,28 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
     raise TopologyError("jellyfish produced a disconnected switch graph repeatedly")
 
 
-def expand_jellyfish(topology: Topology, ports: int, r: int, seed: int = 0) -> Topology:
+def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:
     """Add one switch to a jellyfish topology by repeatedly removing a random
     switch link (x, y) and adding (x, new) and (y, new), preserving existing
-    switch degrees. With odd r the new switch ends at r - 1 switch links.
+    switch degrees. The new switch has the topology's own ``ports`` and
+    ``r``, read from its ``builder_params``, and ``ports - r`` hosts; with
+    odd r it ends at r - 1 switch links.
     """
-    if topology.builder_params.get("builder") != "jellyfish":
+    params = dict(topology.builder_params)
+    if params.get("builder") != "jellyfish":
         raise TopologyError("expand_jellyfish requires a jellyfish-built topology")
+    ports, r, num_switches = params["ports"], params["r"], params["num_switches"]
     if r < 2:
         raise TopologyError("expansion requires r >= 2")
-    old_hosts = topology.num_hosts
-    old_switches = topology.num_switches
-    hosts_per_switch = ports - r
-    new_hosts = old_hosts + hosts_per_switch
-    _check_cap(new_hosts + old_switches + 1, "expand_jellyfish")
+    _check_cap((num_switches + 1) * (1 + ports - r), "expand_jellyfish")
     rng = random.Random(seed)
-
-    def new_id(old: int) -> int:
-        return old if old < old_hosts else old + hosts_per_switch
-
-    switch_edges = []  # in new ids
-    host_links = []
-    for link in topology.links:
-        a_sw = link.a >= old_hosts
-        b_sw = link.b >= old_hosts
-        if a_sw and b_sw:
-            switch_edges.append((new_id(link.a), new_id(link.b)))
-        else:
-            host_links.append((new_id(link.a), new_id(link.b)))
-    new_switch = new_hosts + old_switches
+    num_hosts = topology.num_hosts
+    switch_edges = [  # in switch indices
+        (link.a - num_hosts, link.b - num_hosts)
+        for link in topology.links
+        if link.a >= num_hosts and link.b >= num_hosts
+    ]
+    new_switch = num_switches
     new_degree = 0
     new_neighbors: set[int] = set()
     while new_degree + 2 <= r:
@@ -688,20 +679,9 @@ def expand_jellyfish(topology: Topology, ports: int, r: int, seed: int = 0) -> T
         switch_edges.append((v, new_switch))
         new_neighbors.update((u, v))
         new_degree += 2
-
-    nodes = [Node(i, NodeKind.HOST, 1, label=f"h{i}") for i in range(new_hosts)]
-    nodes += [
-        Node(new_hosts + s, NodeKind.SWITCH, ports, label=f"sw{s}")
-        for s in range(old_switches + 1)
-    ]
-    links = [Link(a, b) for a, b in host_links]
-    for h in range(hosts_per_switch):
-        links.append(Link(old_hosts + h, new_switch))
-    links += [Link(a, b) for a, b in switch_edges]
-    params = dict(topology.builder_params)
-    params["num_switches"] = old_switches + 1
+    params["num_switches"] = num_switches + 1
     params["expanded"] = params.get("expanded", 0) + 1
-    return Topology(nodes, links, taxonomy=JELLYFISH_TAXONOMY, builder_params=params)
+    return _jellyfish_topology(switch_edges, num_switches + 1, ports, r, params)
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +747,7 @@ def build_scafida(
             made += 1
         return made
 
-    for s in range(num_switches):
-        if s == 0:
-            continue
+    for s in range(1, num_switches):
         made = attach(s, min(switch_links, s), max_degree)
         if made == 0:
             raise TopologyError(
@@ -784,13 +762,7 @@ def build_scafida(
                 f"host {h} could not attach: no switch ports free under "
                 f"max_degree={max_degree}"
             )
-    nodes = [
-        Node(i, NodeKind.HOST, host_cap, label=f"h{i}") for i in range(num_hosts)
-    ]
-    nodes += [
-        Node(num_hosts + s, NodeKind.SWITCH, max_degree, label=f"sw{s}")
-        for s in range(num_switches)
-    ]
+    nodes = _flat_nodes(num_hosts, host_cap, num_switches, max_degree)
 
     def to_id(key: int) -> int:
         return num_hosts + key if key < num_switches else key - num_switches
@@ -812,7 +784,7 @@ def build_scafida(
 # HCN and BCN
 
 
-def _hcn_links(groups: list[list[int]], fanout: int, levels: int) -> tuple[list[tuple[int, int]], list[int]]:
+def _hcn_links(groups: list[list[int]], fanout: int, levels: int) -> tuple[list[Link], list[int]]:
     """Pairwise-interconnect free host ports HCN-style over ``levels`` levels.
 
     ``groups`` holds the ordered free-port host lists of the level-0 modules.
@@ -824,9 +796,7 @@ def _hcn_links(groups: list[list[int]], fanout: int, levels: int) -> tuple[list[
         next_modules = []
         for base in range(0, len(modules), fanout):
             chunk = modules[base : base + fanout]
-            for i in range(fanout):
-                for j in range(i + 1, fanout):
-                    links.append((chunk[i][j - 1], chunk[j][i]))
+            links += _join_complete(chunk)
             next_modules.append([sub[fanout - 1] for sub in chunk])
         modules = next_modules
     assert len(modules) == 1
@@ -843,15 +813,11 @@ def build_hcn(n: int, h: int) -> Topology:
     num_hosts = n ** (h + 1)
     num_groups = n**h
     _check_cap(num_hosts + num_groups, f"hcn(n={n}, h={h})")
-    nodes = [Node(i, NodeKind.HOST, 2, label=f"h{i}") for i in range(num_hosts)]
-    nodes += [
-        Node(num_hosts + g, NodeKind.SWITCH, n, label=f"sw{g}")
-        for g in range(num_groups)
-    ]
+    nodes = _flat_nodes(num_hosts, 2, num_groups, n)
     links = [Link(i, num_hosts + i // n) for i in range(num_hosts)]
     groups = [[g * n + p for p in range(n)] for g in range(num_groups)]
     host_links, free_ports = _hcn_links(groups, n, h)
-    links += [Link(a, b) for a, b in host_links]
+    links += host_links
     return Topology(
         nodes,
         links,
@@ -875,11 +841,7 @@ def build_bcn(alpha: int, beta: int, h: int) -> Topology:
     num_hosts = units * hosts_per_unit
     num_switches = units * groups_per_unit
     _check_cap(num_hosts + num_switches, f"bcn(alpha={alpha}, beta={beta}, h={h})")
-    nodes = [Node(i, NodeKind.HOST, 2, label=f"h{i}") for i in range(num_hosts)]
-    nodes += [
-        Node(num_hosts + s, NodeKind.SWITCH, n, label=f"sw{s}")
-        for s in range(num_switches)
-    ]
+    nodes = _flat_nodes(num_hosts, 2, num_switches, n)
     links = []
     slave_lists = []
     for u in range(units):
@@ -893,13 +855,10 @@ def build_bcn(alpha: int, beta: int, h: int) -> Topology:
                 links.append(Link(gbase + p, sbase + g))
             master_groups.append([gbase + p for p in range(alpha)])
             slaves.extend(gbase + alpha + q for q in range(beta))
-        if alpha >= 2:
-            master_links, _ = _hcn_links(master_groups, alpha, h)
-            links += [Link(a, b) for a, b in master_links]
+        master_links, _ = _hcn_links(master_groups, alpha, h)
+        links += master_links
         slave_lists.append(slaves)
-    for i in range(units):
-        for j in range(i + 1, units):
-            links.append(Link(slave_lists[i][j - 1], slave_lists[j][i]))
+    links += _join_complete(slave_lists)
     return Topology(
         nodes,
         links,

@@ -35,9 +35,12 @@ Router = Callable[[int, int, random.Random], Route]
 
 
 def check_route(topology: Topology, route: Sequence[int]) -> None:
-    """Assert the route is adjacent-consecutive, loop-free, host-terminated."""
+    """Assert the route is adjacent-consecutive, loop-free, host-terminated
+    and made of node ids ``0..num_nodes-1`` (a negative id would wrap)."""
     if len(route) < 2:
         raise TopologyError(f"route too short: {route}")
+    if min(route) < 0 or max(route) >= topology.num_nodes:
+        raise TopologyError(f"route leaves node ids 0..{topology.num_nodes - 1}: {route}")
     if len(set(route)) != len(route):
         raise TopologyError(f"route repeats a node: {route}")
     for end in (route[0], route[-1]):
@@ -140,7 +143,8 @@ def fat_tree_router(topology: Topology) -> Router:
         layer.append(addr.digits[0])
         pod.append(addr.digits[1])
     is_host = [node.kind is NodeKind.HOST for node in nodes]
-    edge_of: list[Optional[int]] = [None] * len(nodes)
+    num_nodes = len(nodes)
+    edge_of: list[Optional[int]] = [None] * num_nodes
     aggs: list[tuple[int, ...]] = []
     agg_set: list[frozenset[int]] = []
     cores: list[tuple[int, ...]] = []
@@ -163,7 +167,7 @@ def fat_tree_router(topology: Topology) -> Router:
         if src == dst:
             raise TopologyError("src and dst must differ")
         for h in (src, dst):
-            if not is_host[h]:
+            if not (0 <= h < num_nodes and is_host[h]):
                 raise TopologyError(f"{h} is not a host")
         edge_src = edge_of[src]
         edge_dst = edge_of[dst]

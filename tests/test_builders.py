@@ -259,7 +259,7 @@ def test_jellyfish_deterministic():
 
 def test_expand_jellyfish_preserves_degrees():
     topo = build_jellyfish(10, 4, 3, seed=1)
-    bigger = expand_jellyfish(topo, 4, 3, seed=2)
+    bigger = expand_jellyfish(topo, seed=2)
     assert bigger.num_switches == 11
     hosts = bigger.num_hosts
     new_switch = hosts + 10
@@ -280,22 +280,28 @@ def test_expand_jellyfish_preserves_degrees():
 
 def test_expand_jellyfish_deterministic():
     topo = build_jellyfish(10, 4, 3, seed=1)
-    a = export_edge_list(expand_jellyfish(topo, 4, 3, seed=9))
-    b = export_edge_list(expand_jellyfish(topo, 4, 3, seed=9))
+    a = export_edge_list(expand_jellyfish(topo, seed=9))
+    b = export_edge_list(expand_jellyfish(topo, seed=9))
     assert a == b
 
 
-def test_expand_two_switch_graph_becomes_path():
-    topo = build_jellyfish(2, 2, 1, seed=0)
-    bigger = expand_jellyfish(topo, 3, 2, seed=0)
+def test_expand_triangle_becomes_four_cycle():
+    topo = build_jellyfish(3, 3, 2, seed=0)
+    bigger = expand_jellyfish(topo, seed=0)
     hosts = bigger.num_hosts
-    old_a, old_b, new = hosts, hosts + 1, hosts + 2
+    assert hosts == 4
+    new = hosts + 3
     sw_pairs = {
         (min(l.a, l.b), max(l.a, l.b))
         for l in bigger.links
         if l.a >= hosts and l.b >= hosts
     }
-    assert sw_pairs == {(old_a, new), (old_b, new)}
+    # one triangle edge (x, y) is replaced by x-new-y, leaving a 4-cycle
+    assert len(sw_pairs) == 4
+    assert sum(1 for pair in sw_pairs if new in pair) == 2
+    for sid in bigger.switches:
+        assert sum(1 for pair in sw_pairs if sid in pair) == 2
+    assert validate(bigger) == []
 
 
 # --- scafida ------------------------------------------------------------
@@ -465,6 +471,7 @@ def test_unknown_preset():
         (build_mdcube, (2, 2, 1, 1)),  # BCube(1, 1) containers
         (build_mdcube, (2, 2, 4, -1)),
         (build_scafida, (4, -3, 4)),
+        (expand_jellyfish, (build_jellyfish(2, 2, 1),)),  # r = 1 cannot split a link
     ],
 )
 def test_bad_parameters_rejected(builder, args):
@@ -486,7 +493,7 @@ def builder_digest(topo):
 def jellyfish_expanded(num_switches, ports, r, seed, *expansion_seeds):
     topo = build_jellyfish(num_switches, ports, r, seed)
     for expansion_seed in expansion_seeds:
-        topo = expand_jellyfish(topo, ports, r, seed=expansion_seed)
+        topo = expand_jellyfish(topo, seed=expansion_seed)
     return topo
 
 
@@ -606,11 +613,18 @@ def test_f10_size_cap(monkeypatch):
         build_f10(4)
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e5", ""])
+def test_bad_size_cap_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("DCNBENCH_SIZE_CAP", raw)
+    with pytest.raises(SizeCapError, match=f"DCNBENCH_SIZE_CAP must be an integer, got '{raw}'"):
+        build_fat_tree(4)
+
+
 def test_expand_jellyfish_size_cap(monkeypatch):
     topo = build_jellyfish(10, 4, 3, seed=1)  # 20 nodes; one more switch adds 2
     monkeypatch.setenv("DCNBENCH_SIZE_CAP", "21")
     with pytest.raises(SizeCapError):
-        expand_jellyfish(topo, 4, 3)
+        expand_jellyfish(topo)
 
 
 def test_scafida_size_cap_before_growth(monkeypatch):

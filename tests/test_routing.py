@@ -125,6 +125,24 @@ def test_ecmp_walk_terminates_everywhere():
     check_route(topo, route)
 
 
+@pytest.mark.parametrize(
+    "route, problem",
+    [
+        ([0], "too short"),
+        ([0, 16, 0], "repeats a node"),
+        ([0, 16, 20], "not a host"),
+        ([0, 16, 2], "not a link"),
+        ([-36, 16, 1], "leaves node ids"),  # -36 would wrap to host 0
+        ([0, 16, 36, 1], "leaves node ids"),
+    ],
+)
+def test_check_route_rejects_bad_routes(route, problem):
+    topo = build_fat_tree(4)
+    check_route(topo, [0, 16, 1])
+    with pytest.raises(TopologyError, match=problem):
+        check_route(topo, route)
+
+
 # --- fat-tree routing --------------------------------------------------------
 
 
@@ -614,15 +632,18 @@ ENDPOINT_CASES = {
 @pytest.mark.parametrize("mode", list(ENDPOINT_CASES))
 def test_every_router_checks_its_endpoints(mode):
     # a switch endpoint used to give a route ending at another host (BCube),
-    # a route repeating a node (DCell) or a bare KeyError (ECMP)
+    # a route repeating a node (DCell) or a bare KeyError (ECMP); a negative
+    # id gave a fat-tree route from the host it wraps to, and num_nodes an
+    # IndexError
     build, switch = ENDPOINT_CASES[mode]
     topo = build()
     assert topo.nodes[switch].kind is NodeKind.SWITCH
     router = route_provider(topo, mode)
     host = topo.hosts[0]
-    for src, dst in [(host, switch), (switch, host)]:
-        with pytest.raises(TopologyError, match=f"{switch} is not a host"):
-            router(src, dst, random.Random(0))
+    for bad in (switch, -topo.num_nodes, -1, topo.num_nodes):
+        for src, dst in [(host, bad), (bad, host)]:
+            with pytest.raises(TopologyError, match=f"^{bad} is not a host"):
+                router(src, dst, random.Random(0))
     with pytest.raises(TopologyError, match="must differ"):
         router(host, host, random.Random(0))
 
