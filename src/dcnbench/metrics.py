@@ -10,9 +10,12 @@ balanced host bipartitions, of the capacity that must be cut to separate the
 two host sets; each partition's cut is a max-flow between its two host sets.
 
 - Exact (guarded by host count): hosts whose ``(neighbour, capacity)`` lists
-  are equal can be swapped without changing any cut, so the brute force
-  enumerates how many hosts of each such class sit on side A rather than
-  which ones, and evaluates one partition per count vector.
+  are equal can be swapped without changing any cut, so a branch and bound
+  fixes how many hosts of each such class sit on side A rather than which
+  ones. All branches share one residual network: fixing a class opens arcs
+  and only adds capacity, so a branch resumes its parent's max-flow, and it
+  is cut once that flow, a lower bound on every partition below it, reaches
+  the best cut found.
 - Heuristic: Fiduccia-Mattheyses refinement moving whole nodes (switches
   freely, hosts within one of balance) from seeded random starts, each
   result evaluated by max-flow. Every value it reports is the cut of a real
@@ -37,7 +40,7 @@ from .graph import (
 )
 
 INF = float("inf")
-EXACT_BISECTION_MAX_HOSTS = 16  # largest host count the brute force accepts
+EXACT_BISECTION_MAX_HOSTS = 16  # largest host count the exact search accepts
 
 
 @dataclass
@@ -53,7 +56,14 @@ class MetricsReport:
 
 
 class MaxFlow:
-    """Dinic's algorithm with float capacities and an optional flow cutoff."""
+    """Shortest augmenting paths (Edmonds-Karp) with float capacities.
+
+    :meth:`max_flow` augments the flow the network already carries and
+    returns only what it adds. Raising capacities between calls, such as
+    opening a closed arc, keeps that flow feasible, so a call after them
+    resumes rather than restarts: the calls sum to one max-flow from
+    scratch on the final network.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -78,45 +88,35 @@ class MaxFlow:
         self.cap[:] = caps
 
     def max_flow(self, s: int, t: int, limit: float = INF) -> float:
+        """Flow added from ``s`` to ``t``, at most ``limit``."""
+        to, cap, head = self.to, self.cap, self.head
         flow = 0.0
         eps = 1e-12
         while flow < limit - eps:
-            level = [-1] * self.n
-            level[s] = 0
-            frontier = [s]
-            while frontier and level[t] < 0:
-                nxt = []
-                for v in frontier:
-                    for idx in self.head[v]:
-                        w = self.to[idx]
-                        if self.cap[idx] > eps and level[w] < 0:
-                            level[w] = level[v] + 1
-                            nxt.append(w)
-                frontier = nxt
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(v: int, pushed: float) -> float:
-                if v == t:
-                    return pushed
-                while it[v] < len(self.head[v]):
-                    idx = self.head[v][it[v]]
-                    w = self.to[idx]
-                    if self.cap[idx] > eps and level[w] == level[v] + 1:
-                        got = dfs(w, min(pushed, self.cap[idx]))
-                        if got > eps:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    it[v] += 1
-                return 0.0
-
-            while flow < limit - eps:
-                pushed = dfs(s, limit - flow)
-                if pushed <= eps:
+            via = [-1] * self.n  # the arc a BFS first reached each node by
+            via[s] = -2
+            queue = [s]
+            for v in queue:  # the loop also visits what it appends
+                for idx in head[v]:
+                    w = to[idx]
+                    if via[w] == -1 and cap[idx] > eps:
+                        via[w] = idx
+                        queue.append(w)
+                if via[t] != -1:
                     break
-                flow += pushed
+            else:
+                return flow
+            push = limit - flow
+            v = t
+            while v != s:
+                push = min(push, cap[via[v]])
+                v = to[via[v] ^ 1]
+            v = t
+            while v != s:
+                cap[via[v]] -= push
+                cap[via[v] ^ 1] += push
+                v = to[via[v] ^ 1]
+            flow += push
         return flow
 
 
@@ -177,29 +177,18 @@ def avg_host_path(topology: Topology) -> float:
 # Bisection bandwidth
 
 
-def _partition_cut_solver(topology: Topology):
-    """Max-flow network with a toggleable supersource/supersink per host."""
+def _partition_cut_solver(topology: Topology) -> tuple[MaxFlow, dict[int, tuple[int, int]]]:
+    """The links as a max-flow network from a source ``n`` to a sink
+    ``n + 1`` (``n`` nodes), and per host its two closed arcs, indexed by
+    side: opening ``arcs[h][1]`` from the source puts host ``h`` on side A,
+    opening ``arcs[h][0]`` to the sink puts it on side B.
+    """
     n = topology.num_nodes
     solver = MaxFlow(n + 2)
-    s, t = n, n + 1
     for link in topology.links:
         solver.add_edge(link.a, link.b, link.capacity, link.capacity)
-    host_arcs = {}
-    for h in topology.hosts:
-        host_arcs[h] = (solver.add_edge(s, h, 0.0), solver.add_edge(h, t, 0.0))
-    base = solver.snapshot()
-
-    def cut_value(side_a, limit: float = INF) -> float:
-        solver.restore(base)
-        side_a = set(side_a)
-        for h, (sa, ht) in host_arcs.items():
-            if h in side_a:
-                solver.cap[sa] = INF
-            else:
-                solver.cap[ht] = INF
-        return solver.max_flow(s, t, limit)
-
-    return cut_value
+    arcs = {h: (solver.add_edge(h, n + 1, 0.0), solver.add_edge(n, h, 0.0)) for h in topology.hosts}
+    return solver, arcs
 
 
 def _capacity_twin_classes(topology: Topology) -> list[list[int]]:
@@ -222,44 +211,26 @@ def _capacity_twin_classes(topology: Topology) -> list[list[int]]:
     return classes
 
 
-def _balanced_sides(classes: list[list[int]], size: int, halve: bool) -> list[list[int]]:
-    """One side A of ``size`` hosts per vector of per-class host counts
-    (the first ``counts[i]`` members of ``classes[i]``), in lexicographic
-    order of the vectors. With ``halve``, a vector whose complement
-    (``len(classes[i]) - counts[i]``) is lexicographically smaller is left
-    out: it describes the same partition with the sides swapped.
-    """
-    room = list(itertools.accumulate(len(m) for m in reversed(classes)))[::-1] + [0]
-    sides: list[list[int]] = []
-    side: list[int] = []
-
-    def fill(i: int, left: int, tied: bool) -> None:
-        # tied: counts[:i] equals its complement, so counts[i] may not exceed its own
-        if i == len(classes):
-            sides.append(list(side))
-            return
-        n = len(classes[i])
-        for c in range(max(0, left - room[i + 1]), min(n, left, n // 2 if tied else n) + 1):
-            side.extend(classes[i][:c])
-            fill(i + 1, left - c, tied and 2 * c == n)
-            del side[len(side) - c:]
-
-    fill(0, size, halve)
-    return sides
-
-
 def bisection_bandwidth_exact(topology: Topology) -> float:
-    """Minimum cut capacity over all balanced host bipartitions, by brute
-    force with a max-flow evaluation each. Guarded by
-    :data:`EXACT_BISECTION_MAX_HOSTS` since the partition count is
-    combinatorial.
+    """Minimum cut capacity over all balanced host bipartitions, by branch
+    and bound. Guarded by :data:`EXACT_BISECTION_MAX_HOSTS` since the
+    partition count is combinatorial.
 
     Hosts with equal ``(neighbour, capacity)`` lists are interchangeable
     (see :func:`_capacity_twin_classes`), so a partition's cut depends only
-    on how many hosts of each class it puts on side A. The search runs over
-    those count vectors, one max-flow each; with an even host count a vector
-    and its complement are the same partition, and only the lexicographically
-    smaller of the two is evaluated.
+    on how many hosts of each class it puts on side A. The search fixes
+    those counts one class per level, depth first, each count in a range
+    that can still fill side A; with an even host count a count vector and
+    its complement are the same partition, and only the lexicographically
+    smaller of the two is searched.
+
+    Every level works on one residual network, with the fixed hosts' source
+    or sink arcs open. Fixing a class only opens arcs, so a branch resumes
+    its parent's flow. That flow separates the hosts fixed so far, which
+    bounds the cut of every partition below the branch from below (Delling
+    et al., *Math. Programming* 2015): the branch is cut once its flow
+    reaches the best cut found, and at a leaf the flow is the partition's
+    cut.
     """
     H = topology.num_hosts
     if H < 2:
@@ -269,12 +240,31 @@ def bisection_bandwidth_exact(topology: Topology) -> float:
             f"{H} hosts exceeds the exact guard of {EXACT_BISECTION_MAX_HOSTS}; "
             "use bisection_bandwidth_heuristic"
         )
-    cut_value = _partition_cut_solver(topology)
+    solver, arcs = _partition_cut_solver(topology)
+    s, t = topology.num_nodes, topology.num_nodes + 1
+    classes = _capacity_twin_classes(topology)
+    room = list(itertools.accumulate(len(m) for m in reversed(classes)))[::-1] + [0]
     best = INF
-    for side_a in _balanced_sides(_capacity_twin_classes(topology), H // 2, H % 2 == 0):
-        value = cut_value(side_a, limit=best)
-        if value < best:
-            best = value
+
+    def search(i: int, left: int, tied: bool, flow: float) -> None:
+        # classes[:i] are fixed, with ``left`` hosts still due on side A;
+        # tied: counts[:i] equals its complement, so counts[i] may not exceed its own
+        nonlocal best
+        if i == len(classes):
+            best = flow
+            return
+        members = classes[i]
+        n = len(members)
+        fixed = solver.snapshot()
+        for c in range(max(0, left - room[i + 1]), min(n, left, n // 2 if tied else n) + 1):
+            solver.restore(fixed)
+            for j, h in enumerate(members):
+                solver.cap[arcs[h][j < c]] = INF
+            total = flow + solver.max_flow(s, t, best - flow)
+            if total < best:
+                search(i + 1, left - c, tied and 2 * c == n, total)
+
+    search(0, H // 2, H % 2 == 0, 0.0)
     return best
 
 
@@ -372,7 +362,8 @@ def bisection_bandwidth_heuristic(
         raise TopologyError("bisection needs at least two hosts")
     if restarts < 1:
         raise TopologyError(f"restarts must be >= 1, got {restarts}")
-    cut_value = _partition_cut_solver(topology)
+    solver, arcs = _partition_cut_solver(topology)
+    closed = solver.snapshot()
     n = topology.num_nodes
     weighted: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for link in topology.links:
@@ -393,7 +384,10 @@ def bisection_bandwidth_heuristic(
                     host_cap[side[nb]] += cap
             side[v] = 1 if host_cap[1] > host_cap[0] else 0
         _fm_refine(weighted, is_host, side, H // 2)
-        value = cut_value([h for h in hosts if side[h]], limit=best)
+        solver.restore(closed)
+        for h in hosts:
+            solver.cap[arcs[h][side[h]]] = INF
+        value = solver.max_flow(n, n + 1, limit=best)
         if value < best:
             best = value
     return best
@@ -417,6 +411,8 @@ def oversubscription_ratio(topology: Topology, bisection: float | None = None) -
     """
     if bisection is None:
         bisection, _ = _bisection(topology)
+    if bisection == 0:
+        raise TopologyError("bisection bandwidth is 0: some balanced host partition is disconnected")
     host_set = set(topology.hosts)
     access = 0.0
     for link in topology.links:
@@ -429,25 +425,6 @@ def oversubscription_ratio(topology: Topology, bisection: float | None = None) -
 
 # ---------------------------------------------------------------------------
 # Disjoint paths and failures
-
-
-def vertex_disjoint_paths(topology: Topology, a: int, b: int) -> int:
-    """Maximum number of internally vertex-disjoint a-b paths (Menger), via
-    unit-capacity max-flow on the node-split graph.
-    """
-    if a == b:
-        raise TopologyError("endpoints must differ")
-    n = topology.num_nodes
-    solver = MaxFlow(2 * n)
-    for v in range(n):
-        if v == a or v == b:
-            solver.add_edge(2 * v, 2 * v + 1, INF)
-        else:
-            solver.add_edge(2 * v, 2 * v + 1, 1.0)
-    for link in topology.links:
-        solver.add_edge(2 * link.a + 1, 2 * link.b, 1.0)
-        solver.add_edge(2 * link.b + 1, 2 * link.a, 1.0)
-    return int(round(solver.max_flow(2 * a + 1, 2 * b)))
 
 
 def _biconnected_blocks(topology: Topology, alive: list[bool]) -> list[set[int]]:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -16,6 +17,7 @@ from dcnbench.builders import (
 )
 from dcnbench import metrics
 from dcnbench.metrics import (
+    INF,
     _partition_cut_solver,
     avg_host_path,
     bisection_bandwidth_exact,
@@ -26,7 +28,6 @@ from dcnbench.metrics import (
     host_path_stats,
     oversubscription_ratio,
     pairs_with_two_disjoint_paths,
-    vertex_disjoint_paths,
 )
 
 from hand_topologies import HAND_BUILT, isolated_switch, isolated_twins
@@ -157,23 +158,59 @@ def test_heuristic_upper_bounds_exact(seed):
     assert heuristic >= exact - 1e-9
 
 
+def reference_max_flow(arcs, s, t):
+    """Max-flow from ``s`` to ``t`` over directed ``(u, v, capacity)`` arcs,
+    one BFS augmenting path at a time on a residual map: the tests' own
+    solver, sharing nothing with ``metrics.MaxFlow``."""
+    residual = collections.defaultdict(dict)
+    for u, v, cap in arcs:
+        residual[u][v] = residual[u].get(v, 0.0) + cap
+        residual[v].setdefault(u, 0.0)
+    flow = 0.0
+    while True:
+        parent = {s: None}
+        queue = collections.deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for v, cap in residual[u].items():
+                if cap > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            return flow
+        path = []
+        v = t
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
+
+
+def reference_cut(topology, side_a):
+    """Max-flow between the hosts in ``side_a`` and the other hosts."""
+    arcs = [(link.a, link.b, link.capacity) for link in topology.links]
+    arcs += [(link.b, link.a, link.capacity) for link in topology.links]
+    arcs += [("s", h, INF) if h in side_a else (h, "t", INF) for h in topology.hosts]
+    return reference_max_flow(arcs, "s", "t")
+
+
 def reference_bisection(topology):
-    """Max-flow over every balanced host subset: the definition the
-    twin-count enumeration must reproduce."""
+    """The cut of every balanced host subset, with no twin classes and no
+    pruning: the definition the branch and bound must reproduce."""
     hosts = topology.hosts
-    cut_value = _partition_cut_solver(topology)
     if len(hosts) % 2 == 0:
         rest = itertools.combinations(hosts[1:], len(hosts) // 2 - 1)
         combos = ({hosts[0], *combo} for combo in rest)
     else:
-        combos = itertools.combinations(hosts, len(hosts) // 2)
-    best = float("inf")
-    for side_a in combos:
-        best = min(best, cut_value(side_a, limit=best))
-    return best
+        combos = (set(combo) for combo in itertools.combinations(hosts, len(hosts) // 2))
+    return min(reference_cut(topology, side_a) for side_a in combos)
 
 
-# most preset builders ignore the seed: run the brute force once per topology
+# most preset builders ignore the seed: run the reference once per topology
 _reference_cuts = {}
 
 
@@ -199,7 +236,17 @@ BISECTION_CASES = {
     if build_preset(name, seed).num_hosts <= 16
 }
 BISECTION_CASES.update((name, (build, 0)) for name, build in HAND_BUILT.items())
-BISECTION_CASES.update(odd_dumbbell=(odd_dumbbell, 0), star5=(lambda: star(5), 0))
+BISECTION_CASES.update(
+    isolated_twins=(isolated_twins, 0),  # bisection 0
+    odd_dumbbell=(odd_dumbbell, 0),
+    star5=(lambda: star(5), 0),
+)
+# random graphs with few twins, where the branch and bound cuts at different depths
+BISECTION_CASES.update(
+    (f"jellyfish-s{s}-p4-r{r}@{seed}", (lambda s=s, r=r, seed=seed: build_jellyfish(s, 4, r, seed), seed))
+    for s, r in ((8, 2), (10, 3))
+    for seed in range(10)
+)
 
 
 @pytest.mark.parametrize("name", sorted(BISECTION_CASES))
@@ -209,6 +256,34 @@ def test_bisection_exact_and_heuristic_match_reference(name):
     exact = bisection_bandwidth_exact(topo)
     assert exact == cached_reference_bisection(topo)
     assert bisection_bandwidth_heuristic(topo, restarts=8, seed=seed) == exact
+
+
+RESUME_CASES = {name: build for name, (build, seed) in BISECTION_CASES.items() if seed == 0}
+RESUME_CASES["isolated_switch"] = isolated_switch
+
+
+@pytest.mark.parametrize("name", sorted(RESUME_CASES))
+def test_max_flow_resumes_after_opening_arcs(name):
+    # the branch and bound opens host arcs a class at a time and resumes the flow
+    topo = RESUME_CASES[name]()
+    n = topo.num_nodes
+    pick = random.Random(name)
+    for _ in range(5):
+        order = pick.sample(topo.hosts, len(topo.hosts))
+        sides = {h: pick.randrange(2) for h in order}
+        solver, arcs = _partition_cut_solver(topo)
+        total = 0.0
+        while order:
+            chunk = pick.randint(1, 3)
+            for h in order[:chunk]:
+                solver.cap[arcs[h][sides[h]]] = INF
+            del order[:chunk]
+            total += solver.max_flow(n, n + 1)
+        fresh, fresh_arcs = _partition_cut_solver(topo)
+        for h, side in sides.items():
+            fresh.cap[fresh_arcs[h][side]] = INF
+        side_a = {h for h, side in sides.items() if side}
+        assert total == fresh.max_flow(n, n + 1) == reference_cut(topo, side_a)
 
 
 def test_heuristic_closes_jellyfish_gap():
@@ -244,7 +319,26 @@ def test_oversubscription_dumbbell():
     assert oversubscription_ratio(dumbbell(2)) == pytest.approx(2.0)
 
 
+def test_oversubscription_rejects_zero_bisection():
+    with pytest.raises(TopologyError, match="bisection bandwidth is 0"):
+        oversubscription_ratio(isolated_twins())
+    with pytest.raises(TopologyError, match="bisection bandwidth is 0"):
+        oversubscription_ratio(star(2), bisection=0.0)
+
+
 # --- disjoint paths -------------------------------------------------------
+
+
+def vertex_disjoint_paths(topology, a, b):
+    """Maximum number of internally vertex-disjoint a-b paths (Menger): a
+    unit-capacity max-flow on the node-split graph, where ``2 * v`` enters
+    node ``v`` and ``2 * v + 1`` leaves it. The oracle of
+    ``pairs_with_two_disjoint_paths``."""
+    assert a != b
+    arcs = [(2 * v, 2 * v + 1, INF if v in (a, b) else 1.0) for v in range(topology.num_nodes)]
+    for link in topology.links:
+        arcs += [(2 * link.a + 1, 2 * link.b, 1.0), (2 * link.b + 1, 2 * link.a, 1.0)]
+    return int(reference_max_flow(arcs, 2 * a + 1, 2 * b))
 
 
 def test_vdp_shared_switch():
