@@ -310,23 +310,6 @@ def import_edge_list(text: str) -> Topology:
     return topology
 
 
-def bfs_distances(topology: Topology, source: int) -> list[int]:
-    """Hop distances (in links) from ``source`` to every node; -1 if unreachable."""
-    dist = [-1] * topology.num_nodes
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            dv = dist[v]
-            for nb, _ in topology.adjacency[v]:
-                if dist[nb] < 0:
-                    dist[nb] = dv + 1
-                    nxt.append(nb)
-        frontier = nxt
-    return dist
-
-
 def bfs_predecessors(
     topology: Topology, source: int, blocked: Iterable[int] = ()
 ) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -385,6 +368,12 @@ def multi_source_bfs(topology: Topology, sources: Sequence[int]) -> Iterator[dic
     cost is (levels) x (adjacency entries) big-int operations on
     ``len(sources) / 64`` machine words each, where one BFS per source costs
     ``len(sources)`` x (adjacency entries) Python steps.
+
+    Two consumers share the sweep, each starting it from one host per twin
+    class: :func:`dcnbench.metrics.host_path_stats` reads the diameter and
+    the pair sum off the levels, and
+    :func:`dcnbench.routing.compute_ecmp_tables` ANDs consecutive levels
+    into per-neighbour next-hop masks.
     """
     neighbours = [[nb for nb, _ in entries] for entries in topology.adjacency]
     seen = [0] * topology.num_nodes

@@ -28,6 +28,7 @@ from .graph import (
     TopologyError,
     bfs_predecessors,
     host_twin_classes,
+    multi_source_bfs,
 )
 
 Route = list[int]
@@ -58,25 +59,82 @@ def check_route(topology: Topology, route: Sequence[int]) -> None:
 def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
     """Per-node map destination host -> sorted tuple of equal-cost next hops.
 
-    Runs one BFS per host twin class (see :func:`host_twin_classes`) and
-    shares its row of next-hop tuples across the class's members. Towards a
-    member, only three kinds of entries differ from the representative's
-    row: the class's neighbours step straight to the member, the
-    representative reaches it through the shared neighbours, and the member
-    has no entry for itself.
+    One :func:`multi_source_bfs` sweep starts from a representative of every
+    host twin class (see :func:`host_twin_classes`); source bit ``i`` stands
+    for class ``i``. The steps:
+
+    - **Masks.** A neighbour ``nb`` of ``v`` is one hop closer to class ``i``
+      when ``v`` gains bit ``i`` at some level ``d`` and ``nb`` gained it at
+      ``d - 1``; ORing ``gained[v][d] & gained[nb][d - 1]`` over the levels
+      gives, per neighbour, the mask of classes it is a next hop towards.
+      A node that never gains every bit means the topology is disconnected.
+    - **Groups.** Splitting the full class mask by those masks, in ascending
+      neighbour order with link multiplicity, yields the node's few distinct
+      next-hop tuples, each with the mask of classes that share it.
+    - **Fill.** A node's dict starts as a copy of a cached
+      ``dict.fromkeys(hosts, t)``, ``t`` being its group with the most
+      classes, and only the hosts of its other groups are written over.
+      Copying keeps the keys in host order.
+    - **Twin patches.** Towards a class member other than the
+      representative, only three kinds of entries differ from the
+      representative's: the class's neighbours step straight to the member,
+      the representative reaches it through the shared neighbours, and the
+      member has no entry for itself.
     """
     hosts = topology.hosts
+    num_nodes = topology.num_nodes
     if not hosts:
-        return [dict() for _ in range(topology.num_nodes)]
+        return [dict() for _ in range(num_nodes)]
     classes = host_twin_classes(topology)
-    row_of: dict[int, list[tuple[int, ...]]] = {}
-    for _, members in classes:
-        dist, row = bfs_predecessors(topology, members[0])
-        if min(dist) < 0:
-            raise TopologyError("topology is disconnected")
-        for h in members:
-            row_of[h] = row
-    tables = [dict(zip(hosts, col)) for col in zip(*[row_of[h] for h in hosts])]
+    neighbours = [sorted(nb for nb, _ in entries) for entries in topology.adjacency]
+    closer: list[dict[int, int]] = [{} for _ in range(num_nodes)]
+    swept = 0
+    previous: dict[int, int] = {}
+    for gained in multi_source_bfs(topology, [members[0] for _, members in classes]):
+        was = previous.get
+        for v, bits in gained.items():
+            swept += bits.bit_count()
+            masks = closer[v]
+            for nb in neighbours[v]:
+                step = bits & was(nb, 0)
+                if step:
+                    masks[nb] = masks.get(nb, 0) | step
+        previous = gained
+    if swept != num_nodes * len(classes):  # each node gains each bit at most once
+        raise TopologyError("topology is disconnected")
+    all_classes = (1 << len(classes)) - 1
+    members_of = [members for _, members in classes]
+    templates: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+    tables = []
+    for v in range(num_nodes):
+        masks = closer[v]
+        groups = [(all_classes, ())]
+        for nb in neighbours[v]:
+            step = masks.get(nb)
+            if step:
+                split = []
+                for mask, hops in groups:
+                    inside = mask & step
+                    if inside:
+                        split.append((inside, hops + (nb,)))
+                        if inside != mask:
+                            split.append((mask ^ inside, hops))
+                    else:
+                        split.append((mask, hops))
+                groups = split
+        default = max(groups, key=lambda group: group[0].bit_count())[1]
+        template = templates.get(default)
+        if template is None:
+            template = templates[default] = dict.fromkeys(hosts, default)
+        row = template.copy()
+        for mask, hops in groups:
+            if hops != default:  # every group has its own tuple
+                while mask:
+                    low = mask & -mask
+                    for h in members_of[low.bit_length() - 1]:
+                        row[h] = hops
+                    mask ^= low
+        tables.append(row)
     for nbrs, members in classes:
         links_to = Counter(nbrs).items()
         for dst in members[1:]:
@@ -93,7 +151,10 @@ def ecmp_router(topology: Topology) -> Router:
     sorted equal-cost next hops towards ``dst``, uniformly at random.
 
     Builds :func:`compute_ecmp_tables` once; a lookup walks them and draws
-    ``rng.randrange(n)`` only where a node has ``n > 1`` next hops.
+    ``rng.randrange(n)`` only where a node has ``n > 1`` next hops. The
+    build takes about 50 ms on Jellyfish(200,12,8) and on fat tree k=16
+    (perfbench, traced ``paths`` run, seed 1, scaled to its reference
+    speed), half of it or more spent filling the per-node dicts.
     """
     tables = compute_ecmp_tables(topology)
     host_set = frozenset(topology.hosts)
@@ -336,10 +397,20 @@ def f10_reroute(
     shortest path toward the failure, then detour from the node immediately
     before it. Models a parent locally steering around a failed child, which
     is where the F10 wiring pays off over the standard fat tree.
+
+    Raises :class:`TopologyError`, like every router, when ``src == dst`` or
+    an endpoint is not a host id in ``0..num_nodes-1``, and when ``failed``
+    is not a switch id in that range.
     """
+    nodes = topology.nodes
+    if src == dst:
+        raise TopologyError("src and dst must differ")
+    for h in (src, dst):
+        if not (0 <= h < len(nodes) and nodes[h].kind is NodeKind.HOST):
+            raise TopologyError(f"{h} is not a host")
+    if not (0 <= failed < len(nodes) and nodes[failed].kind is NodeKind.SWITCH):
+        raise TopologyError(f"failed node {failed} is not a switch")
     rng = rng or random.Random(0)
-    if topology.nodes[failed].kind is not NodeKind.SWITCH:
-        raise TopologyError("failed node must be a switch")
     prefix = shortest_route_avoiding(topology, src, failed, set(), rng)
     if prefix is None or len(prefix) < 2:
         raise TopologyError("failed switch unreachable from src")
@@ -347,10 +418,7 @@ def f10_reroute(
     detour = shortest_route_avoiding(topology, detour_point, dst, {failed}, rng)
     if detour is None:
         raise TopologyError("no route avoiding failure")
-    route = _strip_loops(prefix[:-1] + detour[1:])
-    if topology.nodes[route[0]].kind is not NodeKind.HOST:
-        raise TopologyError("reroute does not start at a host")
-    return route
+    return _strip_loops(prefix[:-1] + detour[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +457,12 @@ def route_provider(topology: Topology, mode: str = "auto") -> Router:
     :class:`TopologyError` here rather than at the first lookup.
     Costs, measured on a 2-vCPU VM: "fat-tree" builds its tables in one
     pass over the links (about 5 ms on fat tree k=16) and a lookup indexes
-    them (about 3 us there). "ecmp" builds :func:`compute_ecmp_tables` and
-    a lookup walks them. "dcell" and "bcube" read their builder parameters
-    once, and a lookup computes the route from the addresses, about
-    3 us on DCell(4,2) and 2 us on BCube(4,3).
+    them (about 3 us there). "ecmp" builds :func:`compute_ecmp_tables`
+    (about 50 ms on fat tree k=16 and Jellyfish(200,12,8), 40 ms on
+    DCell(4,2) and 23 ms on BCube(4,3), from perfbench's traced ``paths``
+    run) and a lookup walks them. "dcell" and "bcube" read their builder
+    parameters once, and a lookup computes the route from the addresses,
+    about 3 us on DCell(4,2) and 2 us on BCube(4,3).
     """
     mode = resolve_routing_mode(topology, mode)
     factory = ROUTERS.get(mode)

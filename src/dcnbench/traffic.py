@@ -46,10 +46,15 @@ class TrafficPattern:
         return TrafficPattern(PatternKind.PERMUTATION, dict(mapping))
 
 
-def _require_power_of_two(n: int, pattern: str) -> int:
-    bits = n.bit_length() - 1
-    if n < 2 or (1 << bits) != n:
-        raise ValueError(f"{pattern} traffic needs a power-of-two host count, got {n}")
+def _address_bits(n: int, bits: Optional[int], pattern: str) -> int:
+    """``bits`` checked to address only hosts ``0..n-1``, or derived from a
+    power-of-two ``n`` when omitted."""
+    if bits is None:
+        bits = n.bit_length() - 1
+        if (1 << bits) != n:
+            raise ValueError(f"{pattern} traffic needs a power-of-two host count, got {n}")
+    elif bits < 1 or (1 << bits) > n:
+        raise ValueError(f"{pattern} traffic on {bits} bits leaves hosts 0..{n - 1}")
     return bits
 
 
@@ -63,9 +68,12 @@ def pattern_destination(
     """Destination host index for ``src`` under ``pattern``.
 
     Bit complement/reverse operate on ``bits``-wide addresses (derived from
-    ``n`` when omitted). Deterministic patterns may map a host to itself
-    (e.g. palindromic addresses under bit reverse); callers treat that as
-    "host does not send". Returns None for hosts outside a permutation map.
+    ``n`` when omitted); ``bits`` below 1 or with ``1 << bits > n`` raises
+    :class:`ValueError`, as does a permutation that maps ``src`` outside
+    ``0..n-1``, so the result is always a host index. Deterministic patterns
+    may map a host to itself (e.g. palindromic addresses under bit
+    reverse); callers treat that as "host does not send". Returns None for
+    hosts outside a permutation map.
     """
     if n < 2:
         raise ValueError("need at least two hosts")
@@ -80,12 +88,10 @@ def pattern_destination(
     if kind is PatternKind.TORNADO:
         return (src + (n - 1) // 2) % n
     if kind is PatternKind.BIT_COMPLEMENT:
-        if bits is None:
-            bits = _require_power_of_two(n, "bit complement")
+        bits = _address_bits(n, bits, "bit complement")
         return (~src) & ((1 << bits) - 1)
     if kind is PatternKind.BIT_REVERSE:
-        if bits is None:
-            bits = _require_power_of_two(n, "bit reverse")
+        bits = _address_bits(n, bits, "bit reverse")
         out = 0
         for i in range(bits):
             if src >> i & 1:
@@ -94,5 +100,8 @@ def pattern_destination(
     if kind is PatternKind.PERMUTATION:
         if pattern.mapping is None:
             raise ValueError("permutation pattern needs a mapping")
-        return pattern.mapping.get(src)
+        dst = pattern.mapping.get(src)
+        if dst is not None and not 0 <= dst < n:
+            raise ValueError(f"permutation maps {src} to {dst}, outside [0, {n})")
+        return dst
     raise ValueError(f"unknown pattern {pattern}")

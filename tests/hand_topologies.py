@@ -1,13 +1,32 @@
 """Hand-built topologies for the twin-class edge cases that no builder makes.
 
 Twin hosts are hosts with the same sorted neighbour list; path metrics
-search from one source per twin class, ECMP tables run one BFS per class,
-and exact bisection enumerates per-class host counts, so these cases pin
+and ECMP tables sweep from one source per twin class, and exact
+bisection enumerates per-class host counts, so these cases pin
 down where those shortcuts could go wrong. ``isolated_switch`` is the one
 case that is not about twins: a node no host reaches.
+
+:func:`bfs_distances` is the plain single-source BFS that the tests use as
+their reference for every shortest-path computation in the package.
 """
 
 from dcnbench.graph import Link, Node, NodeKind, Topology
+
+
+def bfs_distances(topology, source):
+    """Hop distances (in links) from ``source`` to every node; -1 if unreachable."""
+    dist = [-1] * topology.num_nodes
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for nb, _ in topology.adjacency[v]:
+                if dist[nb] < 0:
+                    dist[nb] = dist[v] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
 
 
 def _topology(num_hosts, num_switches, pairs):

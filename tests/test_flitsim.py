@@ -2,9 +2,9 @@ import pytest
 
 from dcnbench.builders import build_fat_tree, build_preset
 from dcnbench.flitsim import SimConfig, run_simulation, saturation_reception_rate, sweep_injection
-from dcnbench.graph import TopologyError, bfs_distances, import_edge_list
+from dcnbench.graph import TopologyError, import_edge_list
 from dcnbench.traffic import TrafficPattern
-from hand_topologies import duplicate_host_links
+from hand_topologies import bfs_distances, duplicate_host_links
 
 
 @pytest.mark.parametrize("rate", [0.05, 1.0])

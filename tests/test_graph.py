@@ -9,7 +9,6 @@ from dcnbench.graph import (
     Topology,
     TopologyError,
     ValidationError,
-    bfs_distances,
     export_edge_list,
     import_edge_list,
     multi_source_bfs,
@@ -17,7 +16,7 @@ from dcnbench.graph import (
 )
 from dcnbench.builders import build_dcell, build_fat_tree
 
-from hand_topologies import duplicate_host_links, isolated_twins
+from hand_topologies import bfs_distances, duplicate_host_links, isolated_twins
 
 
 def star(num_hosts, capacity=1.0):

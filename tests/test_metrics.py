@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dcnbench.graph import Link, Node, NodeKind, Topology, TopologyError, bfs_distances, import_edge_list
+from dcnbench.graph import Link, Node, NodeKind, Topology, TopologyError, import_edge_list
 from dcnbench.builders import (
     PRESETS,
     build_bcube,
@@ -30,7 +30,7 @@ from dcnbench.metrics import (
     pairs_with_two_disjoint_paths,
 )
 
-from hand_topologies import HAND_BUILT, isolated_switch, isolated_twins
+from hand_topologies import HAND_BUILT, bfs_distances, isolated_switch, isolated_twins
 
 
 def star(num_hosts):

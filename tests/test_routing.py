@@ -12,12 +12,19 @@ from dcnbench.graph import (
     NodeKind,
     Topology,
     TopologyError,
-    bfs_distances,
     bfs_predecessors,
     export_edge_list,
     import_edge_list,
 )
-from dcnbench.builders import PRESETS, build_bcube, build_dcell, build_f10, build_fat_tree, build_preset
+from dcnbench.builders import (
+    PRESETS,
+    build_bcube,
+    build_dcell,
+    build_f10,
+    build_fat_tree,
+    build_jellyfish,
+    build_preset,
+)
 from dcnbench.flitsim import SimConfig, run_simulation
 from dcnbench.routing import (
     bcube_router,
@@ -31,7 +38,7 @@ from dcnbench.routing import (
     shortest_route_avoiding,
 )
 
-from hand_topologies import HAND_BUILT, isolated_twins
+from hand_topologies import HAND_BUILT, bfs_distances, isolated_twins
 
 
 def line_topology():
@@ -67,12 +74,29 @@ def assert_same_tables(got, want):
 
 ECMP_CASES = {name: (lambda name=name: build_preset(name)) for name in PRESETS}
 ECMP_CASES.update(HAND_BUILT)
+ECMP_CASES.update({
+    # more twin classes than one machine word holds bits: 156 and 81
+    "dcell-n3-l2": lambda: build_dcell(3, 2),
+    "bcube-n3-k3": lambda: build_bcube(3, 3),
+    "fat-tree-k6": lambda: build_fat_tree(6),
+    "f10-k6": lambda: build_f10(6),
+})
+for seed in range(5):  # random wiring splits nodes into many next-hop groups
+    ECMP_CASES[f"jellyfish-s40-p6-r4-seed{seed}"] = lambda seed=seed: build_jellyfish(40, 6, 4, seed=seed)
 
 
 @pytest.mark.parametrize("name", sorted(ECMP_CASES))
 def test_ecmp_tables_match_reference(name):
     topo = ECMP_CASES[name]()
     assert_same_tables(compute_ecmp_tables(topo), reference_ecmp_tables(topo))
+
+
+@pytest.mark.parametrize("build", [lambda: build_fat_tree(4), *HAND_BUILT.values()])
+def test_ecmp_tables_share_no_dict(build):
+    # a shared dict would let one twin's self-entry deletion reach another
+    topo = build()
+    tables = compute_ecmp_tables(topo)
+    assert len({id(t) for t in tables}) == topo.num_nodes
 
 
 def test_ecmp_tables_repeat_parallel_links():
@@ -513,6 +537,18 @@ def test_reroute_errors_when_no_alternative():
     topo = Topology(nodes, [Link(0, 2), Link(1, 2)])
     with pytest.raises(TopologyError):
         f10_reroute(topo, 0, 1, 2)
+
+
+@pytest.mark.parametrize("src, dst, failed, message", [
+    (0, 15, -1, "^failed node -1 is not a switch"),  # used to wrap to switch 35
+    (0, 15, 36, "^failed node 36 is not a switch"),  # used to raise IndexError
+    (0, 0, 25, "must differ"),  # used to return [0]
+    (0, 16, 25, "^16 is not a host"),  # a switch; used to return [0, 16]
+])
+def test_f10_reroute_rejects_bad_ids(src, dst, failed, message):
+    topo = build_f10(4)
+    with pytest.raises(TopologyError, match=message):
+        f10_reroute(topo, src, dst, failed, random.Random(0))
 
 
 def test_shortest_route_avoiding_none_when_blocked():

@@ -62,3 +62,23 @@ def test_permutation_mapping():
 def test_src_range_checked():
     with pytest.raises(ValueError):
         pattern_destination(TrafficPattern.tornado(), 9, 8)
+
+
+@pytest.mark.parametrize("pattern, src, n, bits", [
+    (TrafficPattern.complement(), 0, 6, 3),  # used to return 7
+    (TrafficPattern.reverse(), 1, 6, 3),  # used to return 4
+    (TrafficPattern.complement(), 0, 8, -1),  # used to raise "negative shift count"
+    (TrafficPattern.reverse(), 0, 8, 0),
+    (TrafficPattern.permutation({0: 9}), 0, 4, None),  # used to return 9
+    (TrafficPattern.permutation({0: -1}), 0, 4, None),
+])
+def test_destination_never_leaves_host_range(pattern, src, n, bits):
+    with pytest.raises(ValueError):
+        pattern_destination(pattern, src, n, bits=bits)
+
+
+def test_explicit_bits_may_address_a_subset():
+    # a bits-wide address space inside n hosts stays within 0..n-1
+    assert pattern_destination(TrafficPattern.complement(), 5, 6, bits=2) == 2
+    assert pattern_destination(TrafficPattern.reverse(), 1, 6, bits=2) == 2
+    assert pattern_destination(TrafficPattern.complement(), 3, 8, bits=3) == 4
