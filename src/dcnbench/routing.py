@@ -83,8 +83,6 @@ def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
     """
     hosts = topology.hosts
     num_nodes = topology.num_nodes
-    if not hosts:
-        return [dict() for _ in range(num_nodes)]
     classes = host_twin_classes(topology)
     neighbours = [sorted(nb for nb, _ in entries) for entries in topology.adjacency]
     closer: list[dict[int, int]] = [{} for _ in range(num_nodes)]

@@ -114,6 +114,12 @@ def test_ecmp_tables_reject_disconnected():
         compute_ecmp_tables(Topology(lone_switch, line_topology().links))
 
 
+def test_ecmp_tables_without_hosts_are_empty():
+    # with no destination there is nothing to reach, connected or not
+    switches = [Node(0, NodeKind.SWITCH, 2), Node(1, NodeKind.SWITCH, 2)]
+    assert compute_ecmp_tables(Topology(switches, [])) == [{}, {}]
+
+
 def test_ecmp_line_single_next_hops():
     tables = compute_ecmp_tables(line_topology())
     assert tables[0][1] == (2,)
