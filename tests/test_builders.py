@@ -558,6 +558,11 @@ GOLDEN = [
     (build_jellyfish, (6, 3, 2, 1), "d989861958de27d5"),
     (build_jellyfish, (16, 8, 5, 2), "d36078f8c2e8a345"),
     (build_jellyfish, (20, 6, 4, 7), "dee2979967dc9ec5"),
+    # the instances perfbench builds
+    (build_jellyfish, (200, 12, 8, 1), "18c37a40ec936d9b"),
+    (build_jellyfish, (200, 12, 8, 2), "63fb73a457ba1eb3"),
+    (build_jellyfish, (200, 12, 8, 3), "050ac2ef4f68b5d4"),
+    (build_jellyfish, (50, 8, 5, 0), "601c40cc6f315514"),
     (jellyfish_expanded, (10, 4, 3, 1, 2), "3f9b27d4d935cf44"),
     (jellyfish_expanded, (10, 4, 3, 1, 2, 9), "786082ef5168e8a6"),
     (jellyfish_expanded, (6, 3, 2, 1, 0, 1), "18a1fc4be75d7ec7"),
