@@ -310,6 +310,15 @@ def import_edge_list(text: str) -> Topology:
     return topology
 
 
+def check_node_ids(topology: Topology, ids: Iterable[int]) -> None:
+    """Raise :class:`TopologyError` naming the first of ``ids`` outside
+    ``0..num_nodes-1``; a negative id would otherwise wrap to a real node."""
+    num_nodes = topology.num_nodes
+    for v in ids:
+        if not 0 <= v < num_nodes:
+            raise TopologyError(f"node id {v} is outside 0..{num_nodes - 1}")
+
+
 def bfs_predecessors(
     topology: Topology, source: int, blocked: Iterable[int] = ()
 ) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -318,17 +327,19 @@ def bfs_predecessors(
     once per parallel link. These are the node's equal-cost next hops
     towards ``source``. Nodes in ``blocked`` (other than ``source``) are
     never discovered: the search runs on the graph without them, and they
-    come back at -1 with no predecessors.
+    come back at -1 with no predecessors. A ``source`` or ``blocked`` id
+    outside ``0..num_nodes-1`` raises :class:`TopologyError`.
 
     Each frontier is visited in ascending node order, so the predecessor
     tuples come out sorted without a second adjacency scan. Growing a tuple
     copies it, which costs the square of a node's predecessor count; that
     count is bounded by the node's degree.
     """
+    blocked = [v for v in blocked if v != source]
+    check_node_ids(topology, (source, *blocked))
     adjacency = topology.adjacency
     dist = [-1] * topology.num_nodes
     preds: list[tuple[int, ...]] = [()] * topology.num_nodes
-    blocked = [v for v in blocked if v != source]
     for v in blocked:
         dist[v] = -2  # neither undiscovered (-1) nor on any frontier level
     dist[source] = 0

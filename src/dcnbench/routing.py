@@ -27,6 +27,7 @@ from .graph import (
     Topology,
     TopologyError,
     bfs_predecessors,
+    check_node_ids,
     host_twin_classes,
     multi_source_bfs,
 )
@@ -354,7 +355,13 @@ def shortest_route_avoiding(
 ) -> Optional[Route]:
     """BFS shortest path from src to dst that avoids ``forbidden`` nodes,
     with uniform random tie-breaks when an rng is given.
+
+    Returns None when no such path exists or an endpoint is forbidden, and
+    ``[src]`` when ``src == dst``. Unlike the routers, it accepts any node
+    ids, switches included, but raises :class:`TopologyError` for an id
+    outside ``0..num_nodes-1``.
     """
+    check_node_ids(topology, (src, dst, *forbidden))
     if src in forbidden or dst in forbidden:
         return None
     dist, preds = bfs_predecessors(topology, dst, forbidden)

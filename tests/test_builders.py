@@ -1,10 +1,12 @@
 import hashlib
+import random
 
 import pytest
 
 from dcnbench.graph import NodeKind, export_edge_list, validate
 from dcnbench.builders import (
     SizeCapError,
+    _random_regular_switch_graph,
     build_bcn,
     build_bcube,
     build_dcell,
@@ -255,6 +257,93 @@ def test_jellyfish_deterministic():
     assert a == b
     c = export_edge_list(build_jellyfish(12, 6, 3, seed=4))
     assert c != a
+
+
+def reference_regular_switch_graph(num_switches, r, rng, max_repairs):
+    """Stub pairing that rebuilds the urn from per-switch free counts before
+    every link: the definition the single sorted urn must reproduce, rng
+    draws included. Returns the edges and the number of repairs taken."""
+    free = [r] * num_switches
+    adjacent = [set() for _ in range(num_switches)]
+    edges = []
+    repairs = 0
+    while True:
+        urn = [s for s in range(num_switches) for _ in range(free[s])]
+        if not urn:
+            return edges, repairs
+        paired = False
+        for _ in range(20 * len(urn) + 20):
+            u = urn[rng.randrange(len(urn))]
+            v = urn[rng.randrange(len(urn))]
+            if u != v and v not in adjacent[u]:
+                edges.append((u, v))
+                adjacent[u].add(v)
+                adjacent[v].add(u)
+                free[u] -= 1
+                free[v] -= 1
+                paired = True
+                break
+        if paired:
+            continue
+        if repairs >= max_repairs:
+            raise TopologyError(
+                f"jellyfish pairing stalled after {repairs} repairs "
+                f"(num_switches={num_switches}, r={r})"
+            )
+        repairs += 1
+        i = rng.randrange(len(urn))
+        j = rng.randrange(len(urn) - 1)
+        if j >= i:
+            j += 1
+        u, v = urn[i], urn[j]
+        candidates = [
+            (i, y, z)
+            for i, (y, z) in enumerate(edges)
+            if y not in adjacent[u] and z not in adjacent[v]
+            and y not in (u, v) and z not in (u, v)
+        ]
+        if not candidates:
+            raise TopologyError("jellyfish repair found no removable link")
+        i, y, z = candidates[rng.randrange(len(candidates))]
+        edges.pop(i)
+        adjacent[y].discard(z)
+        adjacent[z].discard(y)
+        for a, b in ((u, y), (v, z)):
+            edges.append((a, b))
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+        free[u] -= 1
+        free[v] -= 1
+
+
+def test_stub_pairing_matches_reference():
+    repaired = set()
+    for num_switches in range(4, 51):
+        for r in range(2, min(7, num_switches - 1) + 1):
+            if num_switches * r % 2:
+                continue
+            for seed in range(10):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                max_repairs = 10 * num_switches + 50
+                try:
+                    want, repairs = reference_regular_switch_graph(
+                        num_switches, r, theirs, max_repairs
+                    )
+                except TopologyError as error:  # (6, 4, 1), (6, 4, 2), (8, 6, 6)
+                    want, repairs = str(error), 0
+                try:
+                    got = _random_regular_switch_graph(num_switches, r, ours, max_repairs)
+                except TopologyError as error:
+                    got = str(error)
+                case = (num_switches, r, seed)
+                assert got == want, case
+                assert ours.getstate() == theirs.getstate(), case
+                if repairs:
+                    repaired.add(case)
+    # the repair branch must be exercised, not just the plain pairing
+    assert {(10, 3, s) for s in (1, 3, 7, 9)} <= repaired
+    assert {(6, 3, s) for s in (2, 5, 6, 8)} <= repaired
+    assert len(repaired) >= 10
 
 
 def test_expand_jellyfish_preserves_degrees():

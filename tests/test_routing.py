@@ -562,6 +562,38 @@ def test_shortest_route_avoiding_none_when_blocked():
     assert shortest_route_avoiding(topo, 0, 1, {2}) is None
 
 
+def test_shortest_route_avoiding_same_endpoint():
+    topo = build_f10(4)
+    assert shortest_route_avoiding(topo, 0, 0, set()) == [0]
+    assert shortest_route_avoiding(topo, 20, 20, {25}) == [20]
+    assert shortest_route_avoiding(topo, 0, 0, {0}) is None
+
+
+@pytest.mark.parametrize("src, dst, forbidden, bad", [
+    (-1, 15, set(), -1),  # used to return [-1, 31, 23, 15]
+    (0, -1, set(), -1),
+    (0, 36, set(), 36),  # used to raise a bare IndexError
+    (0, 15, {-1}, -1),  # used to block node 35
+    (0, 15, {20, 99}, 99),
+])
+def test_shortest_route_avoiding_rejects_bad_ids(src, dst, forbidden, bad):
+    topo = build_f10(4)  # 36 nodes
+    with pytest.raises(TopologyError, match=f"^node id {bad} is outside 0..35$"):
+        shortest_route_avoiding(topo, src, dst, forbidden, random.Random(0))
+
+
+@pytest.mark.parametrize("source, blocked, bad", [
+    (-1, (), -1),
+    (36, (), 36),
+    (0, [-1], -1),  # used to block node 35 silently
+    (0, iter([5, 99]), 99),  # used to raise a bare IndexError
+])
+def test_bfs_predecessors_rejects_bad_ids(source, blocked, bad):
+    topo = build_f10(4)
+    with pytest.raises(TopologyError, match=f"^node id {bad} is outside 0..35$"):
+        bfs_predecessors(topo, source, blocked)
+
+
 def reference_route_avoiding(topology, src, dst, forbidden, rng=None):
     """A BFS from dst that skips forbidden nodes, then a walk that rescans
     each node's sorted neighbours one hop closer: the definition the
