@@ -639,14 +639,17 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
     params = {"builder": "jellyfish", "num_switches": num_switches,
               "ports": ports, "r": r, "seed": seed}
     for attempt in range(8):
-        edges = _random_regular_switch_graph(
-            num_switches, r, rng, max_repairs=10 * num_switches + 50
-        )
+        try:
+            edges = _random_regular_switch_graph(
+                num_switches, r, rng, max_repairs=10 * num_switches + 50
+            )
+        except TopologyError:  # only its two stall checks raise; re-roll like a disconnect
+            continue
         topology = _jellyfish_topology(edges, num_switches, ports, r, params)
         # regularity guarantees connectivity only probabilistically; re-roll if not
         if len(connected_components(topology)) == 1:
             return topology
-    raise TopologyError("jellyfish produced a disconnected switch graph repeatedly")
+    raise TopologyError("jellyfish pairing stalled or came out disconnected 8 times")
 
 
 def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:

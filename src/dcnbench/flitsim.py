@@ -437,7 +437,3 @@ def sweep_injection(
         curve.append((rate, run_simulation(topology, routing_mode, point_config)))
     return curve
 
-
-def saturation_reception_rate(curve: list[tuple[float, SimStats]]) -> float:
-    """Plateau reception rate: the maximum reception over the sweep."""
-    return max(stats.reception_rate for _, stats in curve)

@@ -3,7 +3,10 @@
 Every builder, metric, router, and simulator in this package works on the
 immutable :class:`Topology` defined here. Node ids are dense integers with
 hosts first, so host index arithmetic (traffic patterns, bisection splits)
-is stable across runs.
+is stable across runs. Every shortest-path question goes through one
+search, :func:`multi_source_bfs`, over the sorted ``neighbors`` table, and
+every shortcut over interchangeable hosts through one twin rule,
+:func:`host_twin_classes`.
 """
 
 from __future__ import annotations
@@ -135,6 +138,13 @@ class Topology:
     def switches(self) -> tuple[int, ...]:
         return tuple(n.id for n in self.nodes if n.kind is NodeKind.SWITCH)
 
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, its neighbour ids in ascending order, one per link as in
+        ``adjacency`` (parallel links and self-loops repeat). Built on first
+        use: builders and the fat-tree router read only ``adjacency``."""
+        return tuple(tuple(sorted(nb for nb, _ in entries)) for entries in self.adjacency)
+
     @property
     def num_hosts(self) -> int:
         return len(self.hosts)
@@ -145,9 +155,6 @@ class Topology:
 
     def degree(self, node_id: int) -> int:
         return len(self.adjacency[node_id])
-
-    def neighbors(self, node_id: int) -> list[int]:
-        return [nb for nb, _ in self.adjacency[node_id]]
 
     def name(self) -> str:
         return self.builder_params.get("builder", "custom")
@@ -207,9 +214,9 @@ def validate(topology: Topology) -> list[str]:
         if pair in seen_pairs:
             violations.append(f"duplicate link: {pair[0]}-{pair[1]} (link {idx})")
         seen_pairs.add(pair)
-        if link.capacity <= 0:
+        if not link.capacity > 0:  # NaN fails every comparison
             violations.append(f"non-positive capacity on link {idx}")
-        if link.latency < 1:
+        if not link.latency >= 1:
             violations.append(f"latency < 1 on link {idx}")
     if topology.num_nodes > 1:
         comps = connected_components(topology)
@@ -319,52 +326,9 @@ def check_node_ids(topology: Topology, ids: Iterable[int]) -> None:
             raise TopologyError(f"node id {v} is outside 0..{num_nodes - 1}")
 
 
-def bfs_predecessors(
-    topology: Topology, source: int, blocked: Iterable[int] = ()
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Hop distances from ``source`` (-1 if unreachable) and, for every node,
-    its neighbours one hop closer to ``source`` in ascending order, repeated
-    once per parallel link. These are the node's equal-cost next hops
-    towards ``source``. Nodes in ``blocked`` (other than ``source``) are
-    never discovered: the search runs on the graph without them, and they
-    come back at -1 with no predecessors. A ``source`` or ``blocked`` id
-    outside ``0..num_nodes-1`` raises :class:`TopologyError`.
-
-    Each frontier is visited in ascending node order, so the predecessor
-    tuples come out sorted without a second adjacency scan. Growing a tuple
-    copies it, which costs the square of a node's predecessor count; that
-    count is bounded by the node's degree.
-    """
-    blocked = [v for v in blocked if v != source]
-    check_node_ids(topology, (source, *blocked))
-    adjacency = topology.adjacency
-    dist = [-1] * topology.num_nodes
-    preds: list[tuple[int, ...]] = [()] * topology.num_nodes
-    for v in blocked:
-        dist[v] = -2  # neither undiscovered (-1) nor on any frontier level
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for nb, _ in adjacency[v]:
-                dn = dist[nb]
-                if dn == -1:
-                    dist[nb] = d
-                    preds[nb] = (v,)
-                    nxt.append(nb)
-                elif dn == d:
-                    preds[nb] += (v,)
-        nxt.sort()
-        frontier = nxt
-    for v in blocked:
-        dist[v] = -1
-    return dist, preds
-
-
-def multi_source_bfs(topology: Topology, sources: Sequence[int]) -> Iterator[dict[int, int]]:
+def multi_source_bfs(
+    topology: Topology, sources: Sequence[int], blocked: Iterable[int] = ()
+) -> Iterator[dict[int, int]]:
     """Breadth-first search from every node of ``sources`` at once, one level
     at a time (Then et al., "The More the Merrier", PVLDB 2014).
 
@@ -373,30 +337,36 @@ def multi_source_bfs(topology: Topology, sources: Sequence[int]) -> Iterator[dic
     level ``d``, mapped to those bits: the sources at distance exactly ``d``
     from it. Level 0 is the sources themselves. A node with no path to a
     source never gains its bit, and the sweep ends after the last level
-    that gained anything.
+    that gained anything. Nodes in ``blocked`` start with every bit seen, so
+    the sweep runs on the graph without them (a blocked source still starts
+    its own bit). An id outside ``0..num_nodes-1`` raises at the first level.
 
     Each level ORs every frontier node's bits into its neighbours, so the
     cost is (levels) x (adjacency entries) big-int operations on
     ``len(sources) / 64`` machine words each, where one BFS per source costs
     ``len(sources)`` x (adjacency entries) Python steps.
 
-    Two consumers share the sweep, each starting it from one host per twin
-    class: :func:`dcnbench.metrics.host_path_stats` reads the diameter and
-    the pair sum off the levels, and
-    :func:`dcnbench.routing.compute_ecmp_tables` ANDs consecutive levels
-    into per-neighbour next-hop masks.
+    Three consumers share the sweep. :func:`dcnbench.metrics.host_path_stats`
+    and :func:`dcnbench.routing.compute_ecmp_tables` start it from one host
+    per twin class and read the pair sum and next-hop masks off its levels;
+    :func:`dcnbench.routing.shortest_route_avoiding` runs it from one
+    destination with the forbidden nodes blocked.
     """
-    neighbours = [[nb for nb, _ in entries] for entries in topology.adjacency]
+    blocked = tuple(blocked)
+    check_node_ids(topology, (*sources, *blocked))
+    neighbors = topology.neighbors
     seen = [0] * topology.num_nodes
     frontier: dict[int, int] = {}
     for i, s in enumerate(sources):
         frontier[s] = seen[s] = seen[s] | 1 << i
+    for v in blocked:
+        seen[v] = -1  # every bit, in two's complement
     while frontier:
         yield frontier
         reached: dict[int, int] = {}
         get = reached.get
         for v, bits in frontier.items():
-            for nb in neighbours[v]:
+            for nb in neighbors[v]:
                 reached[nb] = get(nb, 0) | bits
         frontier = {}
         for v, bits in reached.items():
@@ -407,16 +377,24 @@ def multi_source_bfs(topology: Topology, sources: Sequence[int]) -> Iterator[dic
 
 
 def host_twin_classes(topology: Topology) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Hosts grouped by their sorted neighbour list (with link multiplicity),
-    as ``(neighbours, members)`` pairs in order of first member.
+    """Hosts grouped by their sorted ``(neighbour, capacity)`` list (with
+    link multiplicity), as ``(neighbours, members)`` pairs in order of first
+    member, ``neighbours`` being the members' shared :attr:`Topology.neighbors`.
 
     Twins are at distance 2 from each other (when they have neighbours) and
     at the same distance from every other node, so one BFS serves the whole
     class. A host linked to itself is never a twin: its neighbour list holds
-    itself, so the argument above fails.
+    itself, so the argument above fails. Two members of one class are thus
+    never adjacent, and swapping them maps the capacitated graph onto
+    itself, so exact bisection counts hosts per class instead of choosing them.
     """
+    links = topology.links
     classes: dict = {}
     for h in topology.hosts:
-        nbrs = tuple(sorted(nb for nb, _ in topology.adjacency[h]))
-        classes.setdefault(h if h in nbrs else nbrs, (nbrs, []))[1].append(h)
+        nbrs = topology.neighbors[h]
+        if h in nbrs:
+            key = h
+        else:
+            key = tuple(sorted((nb, links[i].capacity) for nb, i in topology.adjacency[h]))
+        classes.setdefault(key, (nbrs, []))[1].append(h)
     return list(classes.values())

@@ -191,38 +191,18 @@ def _partition_cut_solver(topology: Topology) -> tuple[MaxFlow, dict[int, tuple[
     return solver, arcs
 
 
-def _capacity_twin_classes(topology: Topology) -> list[list[int]]:
-    """Hosts grouped by their sorted ``(neighbour, capacity)`` list: the
-    classes of :func:`host_twin_classes` split by link capacity.
-
-    Those classes never hold a self-looped host with another, so members of
-    one class are pairwise non-adjacent, and swapping two of them maps the
-    capacitated graph onto itself.
-    """
-    adjacency = topology.adjacency
-    links = topology.links
-    classes: list[list[int]] = []
-    for _, members in host_twin_classes(topology):
-        split: dict = {}
-        for h in members:
-            key = tuple(sorted((nb, links[idx].capacity) for nb, idx in adjacency[h]))
-            split.setdefault(key, []).append(h)
-        classes.extend(split.values())
-    return classes
-
-
 def bisection_bandwidth_exact(topology: Topology) -> float:
     """Minimum cut capacity over all balanced host bipartitions, by branch
     and bound. Guarded by :data:`EXACT_BISECTION_MAX_HOSTS` since the
     partition count is combinatorial.
 
-    Hosts with equal ``(neighbour, capacity)`` lists are interchangeable
-    (see :func:`_capacity_twin_classes`), so a partition's cut depends only
-    on how many hosts of each class it puts on side A. The search fixes
-    those counts one class per level, depth first, each count in a range
-    that can still fill side A; with an even host count a count vector and
-    its complement are the same partition, and only the lexicographically
-    smaller of the two is searched.
+    Hosts of one twin class (equal ``(neighbour, capacity)`` lists, see
+    :func:`host_twin_classes`) are interchangeable, so a partition's cut
+    depends only on how many hosts of each class it puts on side A. The
+    search fixes those counts one class per level, depth first, each count
+    in a range that can still fill side A; with an even host count a count
+    vector and its complement are the same partition, and only the
+    lexicographically smaller of the two is searched.
 
     Every level works on one residual network, with the fixed hosts' source
     or sink arcs open. Fixing a class only opens arcs, so a branch resumes
@@ -242,7 +222,7 @@ def bisection_bandwidth_exact(topology: Topology) -> float:
         )
     solver, arcs = _partition_cut_solver(topology)
     s, t = topology.num_nodes, topology.num_nodes + 1
-    classes = _capacity_twin_classes(topology)
+    classes = [members for _, members in host_twin_classes(topology)]
     room = list(itertools.accumulate(len(m) for m in reversed(classes)))[::-1] + [0]
     best = INF
 
@@ -429,7 +409,7 @@ def oversubscription_ratio(topology: Topology, bisection: float | None = None) -
 
 def _biconnected_blocks(topology: Topology, alive: list[bool]) -> list[set[int]]:
     """Biconnected components (as vertex sets) of the alive-induced subgraph."""
-    adj = topology.adjacency
+    adj = topology.neighbors
     n = len(adj)
     disc = [0] * n
     low = [0] * n
@@ -446,7 +426,7 @@ def _biconnected_blocks(topology: Topology, alive: list[bool]) -> list[set[int]]
             v, parent, i = work[-1]
             advanced = False
             while i < len(adj[v]):
-                w = adj[v][i][0]
+                w = adj[v][i]
                 i += 1
                 if not alive[w] or w == parent:
                     continue

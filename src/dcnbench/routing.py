@@ -26,7 +26,6 @@ from .graph import (
     NodeKind,
     Topology,
     TopologyError,
-    bfs_predecessors,
     check_node_ids,
     host_twin_classes,
     multi_source_bfs,
@@ -49,7 +48,7 @@ def check_route(topology: Topology, route: Sequence[int]) -> None:
         if topology.nodes[end].kind is not NodeKind.HOST:
             raise TopologyError(f"route endpoint {end} is not a host")
     for u, v in zip(route, route[1:]):
-        if v not in topology.neighbors(u):
+        if v not in topology.neighbors[u]:
             raise TopologyError(f"route step {u}->{v} is not a link")
 
 
@@ -85,7 +84,7 @@ def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
     hosts = topology.hosts
     num_nodes = topology.num_nodes
     classes = host_twin_classes(topology)
-    neighbours = [sorted(nb for nb, _ in entries) for entries in topology.adjacency]
+    neighbours = topology.neighbors
     closer: list[dict[int, int]] = [{} for _ in range(num_nodes)]
     swept = 0
     previous: dict[int, int] = {}
@@ -356,6 +355,10 @@ def shortest_route_avoiding(
     """BFS shortest path from src to dst that avoids ``forbidden`` nodes,
     with uniform random tie-breaks when an rng is given.
 
+    A :func:`multi_source_bfs` sweep from ``dst`` with ``forbidden`` blocked
+    runs to the level that reaches ``src``; the walk from ``src`` steps to
+    one of each node's sorted neighbours (once per link) one level closer.
+
     Returns None when no such path exists or an endpoint is forbidden, and
     ``[src]`` when ``src == dst``. Unlike the routers, it accepts any node
     ids, switches included, but raises :class:`TopologyError` for an id
@@ -364,13 +367,18 @@ def shortest_route_avoiding(
     check_node_ids(topology, (src, dst, *forbidden))
     if src in forbidden or dst in forbidden:
         return None
-    dist, preds = bfs_predecessors(topology, dst, forbidden)
-    if dist[src] < 0:
+    dist = [-1] * topology.num_nodes
+    for d, gained in enumerate(multi_source_bfs(topology, (dst,), forbidden)):
+        for v in gained:
+            dist[v] = d
+        if src in gained:
+            break
+    else:
         return None
     route = [src]
     cur = src
     while cur != dst:
-        options = preds[cur]
+        options = [nb for nb in topology.neighbors[cur] if dist[nb] == dist[cur] - 1]
         cur = options[rng.randrange(len(options))] if rng and len(options) > 1 else options[0]
         route.append(cur)
     return route

@@ -1,10 +1,11 @@
 """Hand-built topologies for the twin-class edge cases that no builder makes.
 
-Twin hosts are hosts with the same sorted neighbour list; path metrics
-and ECMP tables sweep from one source per twin class, and exact
-bisection enumerates per-class host counts, so these cases pin
-down where those shortcuts could go wrong. ``isolated_switch`` is the one
-case that is not about twins: a node no host reaches.
+Twin hosts are hosts with the same sorted ``(neighbour, capacity)`` list
+(:func:`dcnbench.graph.host_twin_classes`, the one twin rule); path
+metrics and ECMP tables sweep from one source per twin class, and exact
+bisection enumerates per-class host counts, so these cases pin down where
+those shortcuts could go wrong. ``isolated_switch`` is the one case that
+is not about twins: a node no host reaches.
 
 :func:`bfs_distances` is the plain single-source BFS that the tests use as
 their reference for every shortest-path computation in the package.
@@ -58,9 +59,10 @@ def self_loop_pair():
 
 
 def capacity_twins():
-    """Hosts 0-3 share switch 4 over links of capacity 3, 2, 2 and 3: twins
-    by neighbour list, not by capacity. The bisection is 4 (hosts 0 and 3
-    against 1 and 2); treating all four as one class gives 5."""
+    """Hosts 0-3 share switch 4 over links of capacity 3, 2, 2 and 3: one
+    neighbour list, but two twin classes, {0, 3} and {1, 2}. The bisection
+    is 4 (hosts 0 and 3 against 1 and 2); treating all four as one class
+    gives 5."""
     nodes = [Node(i, NodeKind.HOST, 8) for i in range(4)] + [Node(4, NodeKind.SWITCH, 16)]
     return Topology(nodes, [Link(h, 4, cap) for h, cap in enumerate((3.0, 2.0, 2.0, 3.0))])
 

@@ -259,6 +259,18 @@ def test_jellyfish_deterministic():
     assert c != a
 
 
+@pytest.mark.parametrize("num_switches, ports, r, seed", [(6, 5, 4, 1), (6, 5, 4, 2), (8, 7, 6, 6)])
+def test_jellyfish_rerolls_a_stalled_pairing(num_switches, ports, r, seed):
+    # the seed's first pairing stalls, which used to fail the whole build
+    max_repairs = 10 * num_switches + 50
+    with pytest.raises(TopologyError, match="jellyfish"):
+        _random_regular_switch_graph(num_switches, r, random.Random(seed), max_repairs)
+    topo = build_jellyfish(num_switches, ports, r, seed)
+    assert validate(topo) == []
+    for sid in topo.switches:
+        assert sum(topo.nodes[nb].kind is NodeKind.SWITCH for nb, _ in topo.adjacency[sid]) == r
+
+
 def reference_regular_switch_graph(num_switches, r, rng, max_repairs):
     """Stub pairing that rebuilds the urn from per-switch free counts before
     every link: the definition the single sorted urn must reproduce, rng
@@ -355,7 +367,7 @@ def test_expand_jellyfish_preserves_degrees():
     sw_degrees = {
         sid: sum(
             1
-            for nb in bigger.neighbors(sid)
+            for nb in bigger.neighbors[sid]
             if nb >= hosts
         )
         for sid in bigger.switches
@@ -489,7 +501,7 @@ def test_f10_type_a_b_wiring_differs():
     )
     cores_of = {
         key: sorted(
-            nb - core_base for nb in topo.neighbors(aid)
+            nb - core_base for nb in topo.neighbors[aid]
             if topo.nodes[nb].address.digits[0] == 3
         )
         for key, aid in aggs.items()

@@ -14,9 +14,10 @@ from dcnbench.graph import (
     multi_source_bfs,
     validate,
 )
-from dcnbench.builders import build_dcell, build_fat_tree
+from dcnbench.builders import build_dcell, build_fat_tree, build_jellyfish
+from dcnbench.metrics import bisection_bandwidth_exact
 
-from hand_topologies import bfs_distances, duplicate_host_links, isolated_twins
+from hand_topologies import HAND_BUILT, bfs_distances, duplicate_host_links, isolated_twins
 
 
 def star(num_hosts, capacity=1.0):
@@ -124,6 +125,21 @@ def test_import_duplicate_link_is_violation():
     assert any("duplicate link" in v for v in err.value.violations)
 
 
+def test_import_rejects_nan_capacity():
+    # NaN fails every comparison, so "capacity <= 0" let it through
+    text = export_edge_list(star(2)).replace("link 0 2 1 10", "link 0 2 nan 10")
+    with pytest.raises(ValidationError) as err:
+        import_edge_list(text)
+    assert err.value.violations == ["non-positive capacity on link 0"]
+
+
+def test_import_accepts_infinite_capacity():
+    text = export_edge_list(star(2)).replace("link 0 2 1 10", "link 0 2 inf 10")
+    topo = import_edge_list(text)
+    assert topo.links[0].capacity == float("inf")
+    assert bisection_bandwidth_exact(topo) == 1.0
+
+
 def test_import_unknown_keyword():
     with pytest.raises(EdgeListParseError):
         import_edge_list("wat 0 0 0 0\n")
@@ -161,6 +177,23 @@ def sweep_distances(topology, sources):
 def test_multi_source_bfs_levels_match_single_source(topology, sources):
     expected = [bfs_distances(topology, s) for s in sources]
     assert sweep_distances(topology, sources) == expected
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_neighbors_table_is_sorted_adjacency(name):
+    topo = HAND_BUILT[name]()
+    assert topo.neighbors == tuple(
+        tuple(sorted(nb for nb, _ in entries)) for entries in topo.adjacency
+    )
+
+
+def test_build_does_not_make_the_neighbors_table():
+    # the table is built on first use, so builders and setups that read only
+    # adjacency (connected_components, fat_tree_router) never pay for it
+    topo = build_jellyfish(200, 12, 8, 1)
+    assert "neighbors" not in topo.__dict__
+    assert len(topo.neighbors) == topo.num_nodes
+    assert "neighbors" in topo.__dict__
 
 
 def test_multi_source_bfs_line_levels():

@@ -12,9 +12,9 @@ from dcnbench.graph import (
     NodeKind,
     Topology,
     TopologyError,
-    bfs_predecessors,
     export_edge_list,
     import_edge_list,
+    multi_source_bfs,
 )
 from dcnbench.builders import (
     PRESETS,
@@ -130,7 +130,7 @@ def test_ecmp_line_single_next_hops():
 def test_ecmp_fat_tree_edge_has_two_uplinks():
     topo = build_fat_tree(4)
     tables = compute_ecmp_tables(topo)
-    edge0 = topo.neighbors(0)[0]
+    edge0 = topo.neighbors[0][0]
     other_pod_host = 15
     hops = tables[edge0][other_pod_host]
     assert len(hops) == 2
@@ -193,27 +193,27 @@ def reference_fat_tree_route(topology, src, dst, rng):
     for h in (src, dst):
         if nodes[h].kind is not NodeKind.HOST:
             raise TopologyError(f"{h} is not a host")
-    edge_src = topology.neighbors(src)[0]
-    edge_dst = topology.neighbors(dst)[0]
+    edge_src = topology.neighbors[src][0]
+    edge_dst = topology.neighbors[dst][0]
     if edge_src == edge_dst:
         return [src, edge_src, dst]
-    up_src = [nb for nb in topology.neighbors(edge_src) if layer(nb) == 2]
-    common = sorted(set(up_src) & {nb for nb in topology.neighbors(edge_dst) if layer(nb) == 2})
+    up_src = [nb for nb in topology.neighbors[edge_src] if layer(nb) == 2]
+    common = sorted(set(up_src) & {nb for nb in topology.neighbors[edge_dst] if layer(nb) == 2})
     if common:
         agg = common[rng.randrange(len(common))]
         return [src, edge_src, agg, edge_dst, dst]
     agg = sorted(up_src)[rng.randrange(len(up_src))]
-    cores = sorted(nb for nb in topology.neighbors(agg) if layer(nb) == 3)
+    cores = sorted(nb for nb in topology.neighbors[agg] if layer(nb) == 3)
     core = cores[rng.randrange(len(cores))]
     dst_pod = nodes[dst].address.digits[1]
     down_aggs = [
-        nb for nb in topology.neighbors(core)
+        nb for nb in topology.neighbors[core]
         if layer(nb) == 2 and nodes[nb].address.digits[1] == dst_pod
     ]
     if len(down_aggs) != 1:
         raise TopologyError("core switch has no unique link into the destination pod")
     agg_down = down_aggs[0]
-    if edge_dst not in topology.neighbors(agg_down):
+    if edge_dst not in topology.neighbors[agg_down]:
         raise TopologyError("descending path broken: aggregation not linked to edge")
     return [src, edge_src, agg, core, agg_down, edge_dst, dst]
 
@@ -583,21 +583,21 @@ def test_shortest_route_avoiding_rejects_bad_ids(src, dst, forbidden, bad):
 
 
 @pytest.mark.parametrize("source, blocked, bad", [
-    (-1, (), -1),
-    (36, (), 36),
-    (0, [-1], -1),  # used to block node 35 silently
-    (0, iter([5, 99]), 99),  # used to raise a bare IndexError
+    (-1, (), -1),  # used to sweep from node 35
+    (36, (), 36),  # used to raise a bare IndexError
+    (0, [-1], -1),
+    (0, iter([5, 99]), 99),
 ])
-def test_bfs_predecessors_rejects_bad_ids(source, blocked, bad):
+def test_multi_source_bfs_rejects_bad_ids(source, blocked, bad):
     topo = build_f10(4)
     with pytest.raises(TopologyError, match=f"^node id {bad} is outside 0..35$"):
-        bfs_predecessors(topo, source, blocked)
+        next(multi_source_bfs(topo, [source], blocked))
 
 
 def reference_route_avoiding(topology, src, dst, forbidden, rng=None):
     """A BFS from dst that skips forbidden nodes, then a walk that rescans
     each node's sorted neighbours one hop closer: the definition the
-    predecessor walk must reproduce, rng draws included."""
+    sweep-based walk must reproduce, rng draws included."""
     if src in forbidden or dst in forbidden:
         return None
     dist = [-1] * topology.num_nodes
@@ -649,17 +649,23 @@ def test_shortest_route_avoiding_matches_reference(name):
 
 
 @pytest.mark.parametrize("name", sorted(AVOIDING_CASES))
-def test_bfs_predecessors_skips_blocked_nodes(name):
+def test_multi_source_bfs_skips_blocked_nodes(name):
     topo = AVOIDING_CASES[name]()
     pick = random.Random(name)
     for _ in range(20):
         source = pick.randrange(topo.num_nodes)
         blocked = set(pick.sample(range(topo.num_nodes), topo.num_nodes // 4)) - {source}
-        dist, preds = bfs_predecessors(topo, source, blocked)
-        for v in blocked:
-            assert dist[v] == -1 and preds[v] == ()
-            assert all(v not in p for p in preds)
-        assert bfs_predecessors(topo, source, ()) == bfs_predecessors(topo, source)
+        levels = list(multi_source_bfs(topo, [source], blocked))
+        dist = [-1] * topo.num_nodes
+        for d, gained in enumerate(levels):
+            for v in gained:
+                assert v not in blocked
+                dist[v] = d
+        without = Topology(topo.nodes, [
+            link for link in topo.links if link.a not in blocked and link.b not in blocked
+        ])
+        assert dist == bfs_distances(without, source)
+        assert list(multi_source_bfs(topo, [source], ())) == list(multi_source_bfs(topo, [source]))
 
 
 # --- provider dispatch -------------------------------------------------------
