@@ -52,9 +52,16 @@ def _check_cap(num_nodes: int, what: str) -> None:
     cap = size_cap()
     if num_nodes > cap:
         raise SizeCapError(
-            f"{what} needs {num_nodes} nodes, above the cap of {cap} "
+            f"{what} needs more nodes than the cap of {cap} "
             f"(override with DCNBENCH_SIZE_CAP)"
         )
+
+
+def _capped_power(base: int, exp: int, what: str) -> int:
+    """``base ** exp``, a lower bound on the node count of ``what``, checked against
+    the cap before it is formed: a base >= 2 passes it within cap.bit_length() factors."""
+    _check_cap(base ** min(exp, size_cap().bit_length()), what)
+    return base**exp
 
 
 def _flat_nodes(num_hosts: int, host_radix: int, num_switches: int, switch_radix: int) -> list[Node]:
@@ -258,8 +265,14 @@ def build_facebook_fabric(
     switch in each plane. Fabric links default to 4x the host link capacity,
     modeling 40G uplinks over 10G host downlinks.
     """
-    if edge_switches < 1 or agg_switches < 1 or planes < 1 or hosts_per_edge < 0:
+    if edge_switches < 1 or agg_switches < 1 or planes < 1:
         raise TopologyError("facebook fabric requires positive switch/plane counts")
+    if hosts_per_edge < 0:
+        raise TopologyError(f"hosts_per_edge must be >= 0, got {hosts_per_edge}")
+    if not host_link_capacity > 0:  # NaN fails every comparison
+        raise TopologyError(f"host_link_capacity must be > 0, got {host_link_capacity}")
+    if not fabric_link_capacity > 0:
+        raise TopologyError(f"fabric_link_capacity must be > 0, got {fabric_link_capacity}")
     num_hosts = edge_switches * hosts_per_edge
     num_switches = edge_switches + planes * agg_switches
     _check_cap(num_hosts + num_switches, "facebook_fabric")
@@ -333,12 +346,13 @@ def _join_complete(groups: Sequence[Sequence[int]]) -> list[Link]:
 # DCell
 
 
-def _dcell_t_list(n: int, level: int) -> list[int]:
-    """Host counts t_0..t_level of DCell(n, level): t_0 = n, t_l = t_{l-1}*(t_{l-1}+1)."""
+def _dcell_t_list(n: int, level: int, limit: float = float("inf")) -> list[int]:
+    """Host counts t_0..t_level of DCell(n, level): t_0 = n, t_l = t_{l-1}*(t_{l-1}+1).
+    The list ends early at the first count above ``limit``."""
     if n < 2 or level < 0:
         raise TopologyError(f"dcell requires n >= 2 and level >= 0, got n={n}, level={level}")
     ts = [n]
-    for _ in range(level):
+    while len(ts) <= level and ts[-1] <= limit:
         ts.append(ts[-1] * (ts[-1] + 1))
     return ts
 
@@ -353,7 +367,7 @@ def build_dcell(n: int, level: int) -> Topology:
     (t_{l-1}+1) copies of DCell_{l-1} pairwise joined by one host-to-host
     link each (sub-cell i's (j-1)-th host to sub-cell j's i-th host).
     """
-    ts = _dcell_t_list(n, level)
+    ts = _dcell_t_list(n, level, size_cap())  # ends early only past the cap
     num_hosts = ts[-1]
     num_switches = num_hosts // n
     _check_cap(num_hosts + num_switches, f"dcell(n={n}, level={level})")
@@ -455,8 +469,9 @@ def build_bcube(n: int, k: int) -> Topology:
     digit i. (k+1)*n^k switches total.
     """
     _check_bcube_params(n, k)
-    num_hosts = n ** (k + 1)
-    _check_cap(num_hosts + (k + 1) * n**k, f"bcube(n={n}, k={k})")
+    what = f"bcube(n={n}, k={k})"
+    num_hosts = _capped_power(n, k + 1, what)
+    _check_cap(num_hosts + (k + 1) * n**k, what)
     nodes, links = _bcube_parts(n, k)
     return Topology(
         nodes,
@@ -474,7 +489,7 @@ def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
     if rows < 1 or cols < 1:
         raise TopologyError("mdcube requires rows, cols >= 1")
     _check_bcube_params(n, k)
-    per_hosts = n ** (k + 1)
+    per_hosts = _capped_power(n, k + 1, "mdcube")
     per_switches = (k + 1) * n**k
     containers = rows * cols
     inter_per_container = (rows - 1) + (cols - 1)
@@ -718,6 +733,10 @@ def build_scafida(
         raise TopologyError("need at least one switch")
     if num_hosts < 0:
         raise TopologyError(f"num_hosts must be >= 0, got {num_hosts}")
+    if switch_links < 1:
+        raise TopologyError(f"switch_links must be >= 1, got {switch_links}")
+    if host_links < 1:
+        raise TopologyError(f"host_links must be >= 1, got {host_links}")
     _check_cap(num_switches + num_hosts, "scafida")
     rng = random.Random(seed)
     host_cap = min(host_links, max_degree)
@@ -820,9 +839,10 @@ def build_hcn(n: int, h: int) -> Topology:
     """
     if n < 2 or h < 0:
         raise TopologyError(f"hcn requires n >= 2 and h >= 0, got n={n}, h={h}")
-    num_hosts = n ** (h + 1)
+    what = f"hcn(n={n}, h={h})"
+    num_hosts = _capped_power(n, h + 1, what)
     num_groups = n**h
-    _check_cap(num_hosts + num_groups, f"hcn(n={n}, h={h})")
+    _check_cap(num_hosts + num_groups, what)
     nodes = _flat_nodes(num_hosts, 2, num_groups, n)
     links = [Link(i, num_hosts + i // n) for i in range(num_hosts)]
     groups = [[g * n + p for p in range(n)] for g in range(num_groups)]
@@ -844,13 +864,14 @@ def build_bcn(alpha: int, beta: int, h: int) -> Topology:
     if alpha < 1 or beta < 0 or h < 0:
         raise TopologyError("bcn requires alpha >= 1, beta >= 0, h >= 0")
     n = alpha + beta
-    groups_per_unit = alpha**h
+    what = f"bcn(alpha={alpha}, beta={beta}, h={h})"
+    groups_per_unit = _capped_power(alpha, h, what)
     hosts_per_unit = groups_per_unit * n
     slaves_per_unit = groups_per_unit * beta
     units = slaves_per_unit + 1
     num_hosts = units * hosts_per_unit
     num_switches = units * groups_per_unit
-    _check_cap(num_hosts + num_switches, f"bcn(alpha={alpha}, beta={beta}, h={h})")
+    _check_cap(num_hosts + num_switches, what)
     nodes = _flat_nodes(num_hosts, 2, num_switches, n)
     links = []
     slave_lists = []

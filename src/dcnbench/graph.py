@@ -166,13 +166,9 @@ class Topology:
         )
 
 
-def connected_components(
-    topology: Topology, alive: Optional[Sequence[bool]] = None
-) -> list[list[int]]:
-    """Connected components as sorted node-id lists, over all nodes, or over
-    the nodes ``alive`` marks when it is given (dead nodes are left out).
-    """
-    seen = [False] * topology.num_nodes if alive is None else [not a for a in alive]
+def connected_components(topology: Topology) -> list[list[int]]:
+    """Connected components as sorted node-id lists."""
+    seen = [False] * topology.num_nodes
     comps = []
     for start in range(topology.num_nodes):
         if seen[start]:

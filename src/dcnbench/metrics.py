@@ -21,6 +21,12 @@ two host sets; each partition's cut is a max-flow between its two host sets.
   result evaluated by max-flow. Every value it reports is the cut of a real
   balanced host partition, so it is an upper bound: it can only overstate
   the bisection bandwidth, never understate it.
+
+Switch failures: each trial of :func:`failure_experiment` removes a seeded
+random sample of switches (hosts never fail) and counts, among all host
+pairs, those still connected and those that still have two internally
+vertex-disjoint paths, which no single further failure can cut. Both counts
+come from one depth-first search per trial, :func:`surviving_host_pairs`.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from dataclasses import dataclass
 from .graph import (
     Topology,
     TopologyError,
-    connected_components,
     host_twin_classes,
     multi_source_bfs,
 )
@@ -80,12 +85,6 @@ class MaxFlow:
         self.to.append(u)
         self.cap.append(cap_rev)
         return idx
-
-    def snapshot(self) -> list[float]:
-        return list(self.cap)
-
-    def restore(self, caps: list[float]) -> None:
-        self.cap[:] = caps
 
     def max_flow(self, s: int, t: int, limit: float = INF) -> float:
         """Flow added from ``s`` to ``t``, at most ``limit``."""
@@ -235,9 +234,9 @@ def bisection_bandwidth_exact(topology: Topology) -> float:
             return
         members = classes[i]
         n = len(members)
-        fixed = solver.snapshot()
+        fixed = list(solver.cap)
         for c in range(max(0, left - room[i + 1]), min(n, left, n // 2 if tied else n) + 1):
-            solver.restore(fixed)
+            solver.cap[:] = fixed
             for j, h in enumerate(members):
                 solver.cap[arcs[h][j < c]] = INF
             total = flow + solver.max_flow(s, t, best - flow)
@@ -343,7 +342,7 @@ def bisection_bandwidth_heuristic(
     if restarts < 1:
         raise TopologyError(f"restarts must be >= 1, got {restarts}")
     solver, arcs = _partition_cut_solver(topology)
-    closed = solver.snapshot()
+    closed = list(solver.cap)
     n = topology.num_nodes
     weighted: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for link in topology.links:
@@ -364,7 +363,7 @@ def bisection_bandwidth_heuristic(
                     host_cap[side[nb]] += cap
             side[v] = 1 if host_cap[1] > host_cap[0] else 0
         _fm_refine(weighted, is_host, side, H // 2)
-        solver.restore(closed)
+        solver.cap[:] = closed
         for h in hosts:
             solver.cap[arcs[h][side[h]]] = INF
         value = solver.max_flow(n, n + 1, limit=best)
@@ -407,91 +406,72 @@ def oversubscription_ratio(topology: Topology, bisection: float | None = None) -
 # Disjoint paths and failures
 
 
-def _biconnected_blocks(topology: Topology, alive: list[bool]) -> list[set[int]]:
-    """Biconnected components (as vertex sets) of the alive-induced subgraph."""
+def surviving_host_pairs(topology: Topology, alive: list[bool]) -> tuple[int, int]:
+    """Host pairs among the ``alive`` nodes that are connected, and that have
+    at least two internally vertex-disjoint paths, from one depth-first
+    search of the alive-induced subgraph (Hopcroft and Tarjan, CACM 1973).
+
+    Each DFS tree is a connected component, so its alive hosts give the
+    connected pairs. Discovered vertices go on a stack; when a child ``v`` of
+    ``u`` finishes with ``low[v] >= disc[u]``, ``u`` and the stack down to
+    ``v`` are one biconnected block. By Menger's theorem two hosts have two
+    disjoint paths iff they share a block of three or more vertices, or of
+    two joined by parallel links, so such a block adds all its host pairs.
+    """
     adj = topology.neighbors
     n = len(adj)
+    host_set = set(topology.hosts)
     disc = [0] * n
     low = [0] * n
     timer = 1
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[set[int]] = []
+    connected = two_path = 0
     for root in range(n):
         if disc[root] or not alive[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        work: list[tuple[int, int, int]] = [(root, -1, 0)]
+        tree_hosts = int(root in host_set)
+        stack = [root]
+        work = [(root, iter(adj[root]))]
         while work:
-            v, parent, i = work[-1]
-            advanced = False
-            while i < len(adj[v]):
-                w = adj[v][i]
-                i += 1
-                if not alive[w] or w == parent:
+            u, rest = work[-1]
+            for w in rest:
+                if not alive[w]:
                     continue
                 if not disc[w]:
-                    edge_stack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    work[-1] = (v, parent, i)
-                    work.append((w, v, 0))
-                    advanced = True
+                    tree_hosts += w in host_set
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
                     break
-                if disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
+                work.pop()
+                if not work:
+                    continue
+                v, u = u, work[-1][0]
                 if low[v] < low[u]:
                     low[u] = low[v]
-                if low[v] >= disc[u]:
-                    block: set[int] = set()
-                    while edge_stack:
-                        x, y = edge_stack.pop()
-                        block.add(x)
-                        block.add(y)
-                        if (x, y) == (u, v):
-                            break
-                    blocks.append(block)
-    return blocks
-
-
-def pairs_with_two_disjoint_paths(topology: Topology, alive: list[bool]) -> int:
-    """Count host pairs with >= 2 internally vertex-disjoint paths among alive
-    nodes. A pair qualifies iff both endpoints share a biconnected component
-    of at least 3 vertices.
-    """
-    host_set = set(topology.hosts)
-    count = 0
-    for block in _biconnected_blocks(topology, alive):
-        if len(block) < 3:
-            continue
-        in_block = sum(1 for v in block if v in host_set and alive[v])
-        count += in_block * (in_block - 1) // 2
-    return count
-
-
-def _connected_host_pairs(topology: Topology, alive: list[bool]) -> int:
-    host_set = set(topology.hosts)
-    total = 0
-    for comp in connected_components(topology, alive):
-        hosts_here = sum(1 for v in comp if v in host_set)
-        total += hosts_here * (hosts_here - 1) // 2
-    return total
+                elif low[v] >= disc[u]:
+                    top, block_hosts, x = len(stack), int(u in host_set), -1
+                    while x != v:
+                        x = stack.pop()
+                        block_hosts += x in host_set
+                    if top - len(stack) >= 2 or block_hosts == 2 and adj[u].count(v) > 1:
+                        two_path += block_hosts * (block_hosts - 1) // 2
+        connected += tree_hosts * (tree_hosts - 1) // 2
+    return connected, two_path
 
 
 @dataclass
 class SurvivalStats:
     fail_fraction: float
     trials: int
-    switches_failed: int
-    mean_two_path_fraction: float
-    mean_connected_fraction: float
+    switches_failed: int  # per trial: floor(fail_fraction * switches)
+    mean_two_path_fraction: float  # mean share of host pairs left two disjoint paths
+    mean_connected_fraction: float  # mean share of host pairs left connected
 
 
 def failure_experiment(
@@ -517,8 +497,9 @@ def failure_experiment(
         rng = random.Random(seed * 1_000_003 + trial)
         failed = set(rng.sample(switches, num_fail))
         alive = [v not in failed for v in range(topology.num_nodes)]
-        two_path_sum += pairs_with_two_disjoint_paths(topology, alive) / all_pairs
-        connected_sum += _connected_host_pairs(topology, alive) / all_pairs
+        connected, two_path = surviving_host_pairs(topology, alive)
+        two_path_sum += two_path / all_pairs
+        connected_sum += connected / all_pairs
     return SurvivalStats(
         fail_fraction=fail_fraction,
         trials=trials,

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from dcnbench.builders import (
     build_scafida,
     dcell_host_count,
     expand_jellyfish,
+    size_cap,
 )
 from dcnbench.graph import TopologyError
 
@@ -580,6 +582,21 @@ def test_bad_parameters_rejected(builder, args):
         builder(*args)
 
 
+@pytest.mark.parametrize(
+    "builder, args, kwargs, name",
+    [
+        (build_scafida, (4, 4, 4), {"switch_links": 0}, "switch_links"),
+        (build_scafida, (4, 4, 4), {"host_links": 0}, "host_links"),
+        (build_facebook_fabric, (4, 2), {"host_link_capacity": 0}, "host_link_capacity"),
+        (build_facebook_fabric, (4, 2), {"fabric_link_capacity": math.nan}, "fabric_link_capacity"),
+        (build_facebook_fabric, (4, 2), {"hosts_per_edge": -1}, "hosts_per_edge"),
+    ],
+)
+def test_bad_parameter_is_named(builder, args, kwargs, name):
+    with pytest.raises(TopologyError, match=name):
+        builder(*args, **kwargs)
+
+
 # --- pinned output -------------------------------------------------------
 
 
@@ -724,6 +741,23 @@ def test_bad_size_cap_names_the_variable(monkeypatch, raw):
     monkeypatch.setenv("DCNBENCH_SIZE_CAP", raw)
     with pytest.raises(SizeCapError, match=f"DCNBENCH_SIZE_CAP must be an integer, got '{raw}'"):
         build_fat_tree(4)
+
+
+@pytest.mark.parametrize(
+    "builder, args, call",
+    [
+        (build_dcell, (2, 14), "dcell(n=2, level=14)"),
+        (build_bcube, (2, 15000), "bcube(n=2, k=15000)"),
+        (build_hcn, (2, 15000), "hcn(n=2, h=15000)"),
+        (build_mdcube, (1, 1, 2, 15000), "mdcube"),
+    ],
+)
+def test_size_cap_before_huge_counts(builder, args, call):
+    # the node counts have thousands of digits: the cap must fire before any
+    # is formed, and the message names the call and the cap, not the count
+    with pytest.raises(SizeCapError) as err:
+        builder(*args)
+    assert str(err.value).startswith(f"{call} needs more nodes than the cap of {size_cap()} ")
 
 
 def test_expand_jellyfish_size_cap(monkeypatch):

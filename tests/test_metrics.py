@@ -18,6 +18,7 @@ from dcnbench.builders import (
 from dcnbench import metrics
 from dcnbench.metrics import (
     INF,
+    SurvivalStats,
     _partition_cut_solver,
     avg_host_path,
     bisection_bandwidth_exact,
@@ -27,7 +28,7 @@ from dcnbench.metrics import (
     host_diameter,
     host_path_stats,
     oversubscription_ratio,
-    pairs_with_two_disjoint_paths,
+    surviving_host_pairs,
 )
 
 from hand_topologies import HAND_BUILT, bfs_distances, isolated_switch, isolated_twins
@@ -332,8 +333,8 @@ def test_oversubscription_rejects_zero_bisection():
 def vertex_disjoint_paths(topology, a, b):
     """Maximum number of internally vertex-disjoint a-b paths (Menger): a
     unit-capacity max-flow on the node-split graph, where ``2 * v`` enters
-    node ``v`` and ``2 * v + 1`` leaves it. The oracle of
-    ``pairs_with_two_disjoint_paths``."""
+    node ``v`` and ``2 * v + 1`` leaves it. The oracle of the two-path count
+    of ``surviving_host_pairs``."""
     assert a != b
     arcs = [(2 * v, 2 * v + 1, INF if v in (a, b) else 1.0) for v in range(topology.num_nodes)]
     for link in topology.links:
@@ -372,16 +373,36 @@ def test_vdp_symmetry_and_degree_bound():
         assert ab <= min(topo.degree(a), topo.degree(b))
 
 
+def alive_subgraph(topology, alive):
+    """The subgraph the ``alive`` nodes induce, node ids unchanged: dead
+    nodes stay as isolated nodes, so no path can pass through them."""
+    links = [link for link in topology.links if alive[link.a] and alive[link.b]]
+    return Topology(topology.nodes, links)
+
+
+TWO_PATH_CASES = {
+    "scafida": lambda: build_scafida(8, 8, 12, seed=9),
+    "dcell-n3-l1": lambda: build_dcell(3, 1),
+    "bcube-n3-k1": lambda: build_bcube(3, 1),
+    **HAND_BUILT,
+}
+
+
 def test_block_predicate_matches_maxflow():
-    topo = build_scafida(8, 8, 12, seed=9)
-    alive = [True] * topo.num_nodes
-    blocks_count = pairs_with_two_disjoint_paths(topo, alive)
-    flow_count = sum(
-        1
-        for a, b in itertools.combinations(topo.hosts, 2)
-        if vertex_disjoint_paths(topo, a, b) >= 2
-    )
-    assert blocks_count == flow_count
+    # random alive masks that also kill hosts: a dead host is in no pair
+    for name, make in sorted(TWO_PATH_CASES.items()):
+        topo = make()
+        pick = random.Random(name)
+        for trial in range(6):
+            dead = 0.4 * trial / 5
+            alive = [pick.random() >= dead for _ in range(topo.num_nodes)]
+            sub = alive_subgraph(topo, alive)
+            flow_count = sum(
+                1
+                for a, b in itertools.combinations([h for h in topo.hosts if alive[h]], 2)
+                if vertex_disjoint_paths(sub, a, b) >= 2
+            )
+            assert surviving_host_pairs(topo, alive)[1] == flow_count, (name, alive)
 
 
 # --- failure experiment ----------------------------------------------------
@@ -391,7 +412,7 @@ def test_failure_zero_fraction_is_baseline():
     topo = build_scafida(12, 12, 12, seed=4)
     alive = [True] * topo.num_nodes
     pairs = topo.num_hosts * (topo.num_hosts - 1) // 2
-    baseline = pairs_with_two_disjoint_paths(topo, alive) / pairs
+    baseline = surviving_host_pairs(topo, alive)[1] / pairs
     stats = failure_experiment(topo, 0.0, trials=3, seed=1)
     assert stats.mean_two_path_fraction == pytest.approx(baseline)
     assert stats.mean_connected_fraction == pytest.approx(1.0)
@@ -400,9 +421,7 @@ def test_failure_zero_fraction_is_baseline():
 def test_failure_killing_only_switch_disconnects_all():
     topo = star(3)
     alive = [True, True, True, False]
-    assert pairs_with_two_disjoint_paths(topo, alive) == 0
-    from dcnbench.metrics import _connected_host_pairs
-    assert _connected_host_pairs(topo, alive) == 0
+    assert surviving_host_pairs(topo, alive) == (0, 0)
 
 
 def reference_connected_host_pairs(topology, alive):
@@ -436,14 +455,12 @@ CONNECTED_CASES["isolated_twins"] = isolated_twins
 
 @pytest.mark.parametrize("name", sorted(CONNECTED_CASES))
 def test_connected_host_pairs_matches_reference(name):
-    from dcnbench.metrics import _connected_host_pairs
-
     topo = CONNECTED_CASES[name]()
     pick = random.Random(name)
     for _ in range(40):
         dead = pick.random()
         alive = [pick.random() >= dead for _ in range(topo.num_nodes)]
-        assert _connected_host_pairs(topo, alive) == reference_connected_host_pairs(topo, alive)
+        assert surviving_host_pairs(topo, alive)[0] == reference_connected_host_pairs(topo, alive)
 
 
 def test_failure_experiment_deterministic():
@@ -451,6 +468,22 @@ def test_failure_experiment_deterministic():
     a = failure_experiment(topo, 0.2, trials=5, seed=7)
     b = failure_experiment(topo, 0.2, trials=5, seed=7)
     assert a == b
+
+
+# failure_experiment(preset, 0.3, trials=5, seed=2): switches failed per
+# trial, two-path fraction and connected fraction, pinned
+FAILURE_GOLDEN = {
+    "fat-tree-k4": (6, 0.0, 0.41500000000000004),
+    "dcell-n4-l1": (1, 0.3473684210526316, 1.0),
+    "bcube-n4-k1": (2, 0.2866666666666667, 0.9),
+    "jellyfish-s10-p4-r3": (3, 0.0, 0.4666666666666667),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILURE_GOLDEN))
+def test_failure_experiment_golden(name):
+    stats = failure_experiment(build_preset(name), 0.3, trials=5, seed=2)
+    assert stats == SurvivalStats(0.3, 5, *FAILURE_GOLDEN[name])
 
 
 def test_failure_experiment_needs_a_trial():
