@@ -30,7 +30,7 @@ from .graph import (
     TaxonomyRecord,
     Topology,
     TopologyError,
-    connected_components,
+    component_count,
 )
 
 DEFAULT_SIZE_CAP = 100_000
@@ -662,7 +662,7 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
             continue
         topology = _jellyfish_topology(edges, num_switches, ports, r, params)
         # regularity guarantees connectivity only probabilistically; re-roll if not
-        if len(connected_components(topology)) == 1:
+        if component_count(topology) == 1:
             return topology
     raise TopologyError("jellyfish pairing stalled or came out disconnected 8 times")
 
@@ -689,9 +689,8 @@ def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:
         if link.a >= num_hosts and link.b >= num_hosts
     ]
     new_switch = num_switches
-    new_degree = 0
-    new_neighbors: set[int] = set()
-    while new_degree + 2 <= r:
+    new_neighbors: set[int] = set()  # two more per step, so its size is the new switch's degree
+    while len(new_neighbors) + 2 <= r:
         candidates = [
             i for i, (u, v) in enumerate(switch_edges)
             if u not in new_neighbors and v not in new_neighbors
@@ -703,7 +702,6 @@ def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:
         switch_edges.append((u, new_switch))
         switch_edges.append((v, new_switch))
         new_neighbors.update((u, v))
-        new_degree += 2
     params["num_switches"] = num_switches + 1
     params["expanded"] = params.get("expanded", 0) + 1
     return _jellyfish_topology(switch_edges, num_switches + 1, ports, r, params)
@@ -740,8 +738,7 @@ def build_scafida(
     _check_cap(num_switches + num_hosts, "scafida")
     rng = random.Random(seed)
     host_cap = min(host_links, max_degree)
-    # internal switch keys 0..S-1; host keys S..S+H-1
-    degree = [0] * (num_switches + num_hosts)
+    # internal switch keys 0..S-1, host keys S..S+H-1; len(neighbor[x]) is x's degree
     neighbor: list[set[int]] = [set() for _ in range(num_switches + num_hosts)]
     urn: list[int] = []  # one switch entry per attached link endpoint
     edges: list[tuple[int, int]] = []
@@ -749,20 +746,20 @@ def build_scafida(
     def attach(node: int, want: int, cap_self: int) -> int:
         made = 0
         for _ in range(want):
-            if degree[node] >= cap_self:
+            if len(neighbor[node]) >= cap_self:
                 break
             target = -1
             for _ in range(4 * len(urn) + 8):
                 if not urn:
                     break
                 t = urn[rng.randrange(len(urn))]
-                if t != node and degree[t] < max_degree and t not in neighbor[node]:
+                if t != node and len(neighbor[t]) < max_degree and t not in neighbor[node]:
                     target = t
                     break
             if target < 0:
                 eligible = [
                     s for s in range(min(node, num_switches))
-                    if degree[s] < max_degree and s not in neighbor[node] and s != node
+                    if len(neighbor[s]) < max_degree and s not in neighbor[node] and s != node
                 ]
                 if not eligible:
                     break
@@ -770,8 +767,6 @@ def build_scafida(
             edges.append((target, node))
             neighbor[node].add(target)
             neighbor[target].add(node)
-            degree[node] += 1
-            degree[target] += 1
             urn.append(target)
             made += 1
         return made
@@ -813,22 +808,24 @@ def build_scafida(
 # HCN and BCN
 
 
-def _hcn_links(groups: list[list[int]], fanout: int, levels: int) -> tuple[list[Link], list[int]]:
-    """Pairwise-interconnect free host ports HCN-style over ``levels`` levels.
+def _hcn_links(groups: list[list[int]], fanout: int) -> tuple[list[Link], list[int]]:
+    """Pairwise-interconnect free host ports HCN-style, ``fanout`` modules
+    to a module of the next level, until one module is left.
 
     ``groups`` holds the ordered free-port host lists of the level-0 modules.
     Returns the host-to-host links and the free ports left at the top level.
+    With ``fanout ** h`` groups that is h levels; one group (BCN with alpha
+    = 1, where a level would join no modules) takes none.
     """
     links = []
     modules = groups
-    for _ in range(levels):
+    while len(modules) > 1:
         next_modules = []
         for base in range(0, len(modules), fanout):
             chunk = modules[base : base + fanout]
             links += _join_complete(chunk)
             next_modules.append([sub[fanout - 1] for sub in chunk])
         modules = next_modules
-    assert len(modules) == 1
     return links, modules[0]
 
 
@@ -846,7 +843,7 @@ def build_hcn(n: int, h: int) -> Topology:
     nodes = _flat_nodes(num_hosts, 2, num_groups, n)
     links = [Link(i, num_hosts + i // n) for i in range(num_hosts)]
     groups = [[g * n + p for p in range(n)] for g in range(num_groups)]
-    host_links, free_ports = _hcn_links(groups, n, h)
+    host_links, free_ports = _hcn_links(groups, n)
     links += host_links
     return Topology(
         nodes,
@@ -886,7 +883,7 @@ def build_bcn(alpha: int, beta: int, h: int) -> Topology:
                 links.append(Link(gbase + p, sbase + g))
             master_groups.append([gbase + p for p in range(alpha)])
             slaves.extend(gbase + alpha + q for q in range(beta))
-        master_links, _ = _hcn_links(master_groups, alpha, h)
+        master_links, _ = _hcn_links(master_groups, alpha)
         links += master_links
         slave_lists.append(slaves)
     links += _join_complete(slave_lists)

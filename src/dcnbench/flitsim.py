@@ -81,9 +81,9 @@ class SimStats:
     packets_received: int
     dropped: int
     dropped_at_source: int  # of ``dropped``, heads still at their source port
-    retransmitted: int
-    in_flight: int
-    awaiting_retransmit: int
+    retransmitted: int  # of ``dropped``, those back in their source queue by the end
+    in_flight: int  # at the end, packets on a link or in a link port's VCs
+    awaiting_retransmit: int  # at the end, dropped packets still waiting out their backoff
     source_queued: int
     reception_rate: float
     avg_packet_latency: float
@@ -232,11 +232,8 @@ def run_simulation(
     stats_received_window = 0
     stats_dropped = 0
     stats_dropped_at_source = 0
-    stats_retransmitted = 0
     latency_sum = 0
     departures = [0] * (2 * num_links)
-    in_network = 0
-    awaiting_retransmit = 0  # dropped, waiting out the retransmission backoff
 
     def schedule_ready(port_id: int, vc: int, when: int) -> None:
         ready_events.setdefault(when, []).append((port_id, vc))
@@ -289,7 +286,6 @@ def run_simulation(
         for pkt, node, port_id in arrivals.pop(t, ()):
             if node == pkt.dst:
                 stats_received += 1
-                in_network -= 1
                 if t >= warmup:
                     stats_received_window += 1
                     latency_sum += t - pkt.gen_t
@@ -297,9 +293,7 @@ def run_simulation(
                 place_arrival(pkt, port_id, t)
         # retransmit backoff expiry
         for pkt in requeues.pop(t, ()):
-            awaiting_retransmit -= 1
             pkt.path = provider(pkt.src, pkt.dst, rng)
-            stats_retransmitted += 1
             enqueue_source(pkt, t)
         # heads become eligible for allocation
         for port_id, vc in ready_events.pop(t, ()):
@@ -335,11 +329,8 @@ def run_simulation(
                 # head-of-line packet's next hop is full: drop and retransmit
                 pkt = pop_head(port_id, port, port.ready.popleft(), t)
                 stats_dropped += 1
-                if pkt.hop == 0:  # a packet still at its source was never in the network
+                if pkt.hop == 0:
                     stats_dropped_at_source += 1
-                else:
-                    in_network -= 1
-                awaiting_retransmit += 1
                 requeues.setdefault(t + link_latency, []).append(pkt)
         # switch allocation, phase B: one grant per output port
         for chan, cands in requests.items():
@@ -358,11 +349,9 @@ def run_simulation(
             port = ports[port_id]
             port.ready.remove(vc)  # winner sits near the ring front
             pkt = pop_head(port_id, port, vc, t)
-            if pkt.hop == 0:
-                in_network += 1
-                if not pkt.injected:
-                    pkt.injected = True
-                    stats_injected_unique += 1
+            if not pkt.injected:
+                pkt.injected = True
+                stats_injected_unique += 1
             pkt.hop += 1
             nxt = pkt.path[pkt.hop]
             if nxt != pkt.dst:
@@ -374,6 +363,9 @@ def run_simulation(
     measured = sim_cycles - warmup
     reception_rate = stats_received_window / len(active) / measured
     source_queued = sum(len(ports[2 * num_links + hosts[i]].vcs[0]) for i in active)
+    in_flight = sum(len(q) for port in ports[: 2 * num_links] for q in port.vcs)
+    in_flight += sum(map(len, arrivals.values()))
+    awaiting_retransmit = sum(map(len, requeues.values()))
     util: dict[int, float] = {}
     for i in range(num_links):
         fwd = departures[2 * i]
@@ -394,8 +386,8 @@ def run_simulation(
         packets_received=stats_received,
         dropped=stats_dropped,
         dropped_at_source=stats_dropped_at_source,
-        retransmitted=stats_retransmitted,
-        in_flight=in_network,
+        retransmitted=stats_dropped - awaiting_retransmit,
+        in_flight=in_flight,
         awaiting_retransmit=awaiting_retransmit,
         source_queued=source_queued,
         reception_rate=reception_rate,

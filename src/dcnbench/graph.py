@@ -166,25 +166,23 @@ class Topology:
         )
 
 
-def connected_components(topology: Topology) -> list[list[int]]:
-    """Connected components as sorted node-id lists."""
+def component_count(topology: Topology) -> int:
+    """Number of connected components; a node with no links is one."""
     seen = [False] * topology.num_nodes
-    comps = []
+    count = 0
     for start in range(topology.num_nodes):
         if seen[start]:
             continue
+        count += 1
         stack = [start]
         seen[start] = True
-        comp = []
         while stack:
             v = stack.pop()
-            comp.append(v)
             for nb, _ in topology.adjacency[v]:
                 if not seen[nb]:
                     seen[nb] = True
                     stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
+    return count
 
 
 def validate(topology: Topology) -> list[str]:
@@ -214,10 +212,9 @@ def validate(topology: Topology) -> list[str]:
             violations.append(f"non-positive capacity on link {idx}")
         if not link.latency >= 1:
             violations.append(f"latency < 1 on link {idx}")
-    if topology.num_nodes > 1:
-        comps = connected_components(topology)
-        if len(comps) > 1:
-            violations.append(f"disconnected: {len(comps)} components")
+    count = component_count(topology)
+    if count > 1:
+        violations.append(f"disconnected: {count} components")
     scheme_lengths: dict[AddressScheme, int] = {}
     for node in topology.nodes:
         addr = node.address

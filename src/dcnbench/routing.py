@@ -386,15 +386,10 @@ def shortest_route_avoiding(
 
 def _strip_loops(route: Route) -> Route:
     out: list[int] = []
-    seen: dict[int, int] = {}
     for v in route:
-        if v in seen:
-            del out[seen[v] + 1 :]
-            for w in list(seen):
-                if seen[w] > seen[v]:
-                    del seen[w]
+        if v in out:
+            del out[out.index(v) + 1 :]
         else:
-            seen[v] = len(out)
             out.append(v)
     return out
 
