@@ -30,7 +30,6 @@ from .graph import (
     TaxonomyRecord,
     Topology,
     TopologyError,
-    component_count,
 )
 
 DEFAULT_SIZE_CAP = 100_000
@@ -612,6 +611,47 @@ def _random_regular_switch_graph(
     return edges
 
 
+def _join_components(
+    edges: list[tuple[int, int]], num_switches: int, rng: random.Random
+) -> None:
+    """Join the components of a simple switch graph with every degree >= 2
+    into one, in place, keeping every degree.
+
+    Each round grows a search tree over switch 0's component and swaps two
+    links. A random link (a, b) of that component that is not in the tree
+    closes a cycle, so the component stays connected without it; it and a
+    random link (c, d) of another component become (a, c) and (b, d). Each
+    part of the other component left without (c, d) holds c or d, so the
+    two components become one; a and c (b and d) were in different
+    components, so no link repeats. Degree >= 2 gives the component more
+    links than its tree has, so (a, b) exists.
+    """
+    while True:
+        adjacent: list[list[int]] = [[] for _ in range(num_switches)]
+        for u, v in edges:
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+        parent = [-1] * num_switches  # -1: not reached from switch 0
+        parent[0] = 0
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for w in adjacent[v]:
+                if parent[w] < 0:
+                    parent[w] = v
+                    stack.append(w)
+        outside = [i for i, (c, _) in enumerate(edges) if parent[c] < 0]
+        if not outside:
+            return
+        on_cycle = [
+            i for i, (a, b) in enumerate(edges)
+            if parent[a] >= 0 and parent[a] != b and parent[b] != a
+        ]
+        i, j = on_cycle[rng.randrange(len(on_cycle))], outside[rng.randrange(len(outside))]
+        (a, b), (c, d) = edges[i], edges[j]
+        edges[i], edges[j] = (a, c), (b, d)
+
+
 def _jellyfish_topology(
     switch_edges: list[tuple[int, int]],
     num_switches: int,
@@ -635,6 +675,8 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
     """Jellyfish: a random r-regular graph over switches, with the remaining
     ports - r ports of each switch attached to hosts. Deterministic per seed.
 
+    A pairing that stalls is drawn again, up to 8 times; one that comes out
+    disconnected is joined into one component (see :func:`_join_components`).
     The stub pairing draws from one sorted urn of free stubs that shrinks
     link by link (see :func:`_random_regular_switch_graph`). On a 2-vCPU VM
     a build takes about 7 ms at 200 switches (ports 12, r 8), 47 ms at 800
@@ -645,6 +687,8 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
         raise TopologyError(f"need r < ports, got r={r}, ports={ports}")
     if r < 1:
         raise TopologyError("r = 0 gives a disconnected switch cloud")
+    if r == 1 and num_switches > 2:
+        raise TopologyError(f"r = 1 pairs switches off, so {num_switches} switches cannot connect")
     if num_switches < r + 1:
         raise TopologyError(f"r-regular graph needs at least r+1={r + 1} switches")
     if num_switches * r % 2 != 0:
@@ -658,13 +702,11 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
             edges = _random_regular_switch_graph(
                 num_switches, r, rng, max_repairs=10 * num_switches + 50
             )
-        except TopologyError:  # only its two stall checks raise; re-roll like a disconnect
+        except TopologyError:  # only its two stall checks raise
             continue
-        topology = _jellyfish_topology(edges, num_switches, ports, r, params)
-        # regularity guarantees connectivity only probabilistically; re-roll if not
-        if component_count(topology) == 1:
-            return topology
-    raise TopologyError("jellyfish pairing stalled or came out disconnected 8 times")
+        _join_components(edges, num_switches, rng)
+        return _jellyfish_topology(edges, num_switches, ports, r, params)
+    raise TopologyError("jellyfish pairing stalled 8 times")
 
 
 def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:

@@ -1,11 +1,13 @@
 """Core topology model: nodes, capacitated links, adjacency, and edge-list I/O.
 
 Every builder, metric, router, and simulator in this package works on the
-immutable :class:`Topology` defined here. Node ids are dense integers with
-hosts first, so host index arithmetic (traffic patterns, bisection splits)
-is stable across runs. Every shortest-path question goes through one
-search, :func:`multi_source_bfs`, over the sorted ``neighbors`` table, and
-every shortcut over interchangeable hosts through one twin rule,
+immutable :class:`Topology` defined here. Node ids are dense integers. The
+builders number hosts first, and the DCell and BCube routers rely on their
+builder's layout, but a :class:`Topology` does not require it: traffic
+patterns and bisection splits work on indices into :attr:`Topology.hosts`.
+Every shortest-path question goes through one search,
+:func:`multi_source_bfs`, over the sorted ``neighbors`` table, and every
+shortcut over interchangeable hosts through one twin rule,
 :func:`host_twin_classes`.
 """
 

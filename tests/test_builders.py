@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from dcnbench.graph import NodeKind, export_edge_list, validate
+from dcnbench.graph import Link, Node, NodeKind, Topology, export_edge_list, validate
 from dcnbench.builders import (
     SizeCapError,
+    _join_components,
     _random_regular_switch_graph,
     build_bcn,
     build_bcube,
@@ -251,6 +252,8 @@ def test_jellyfish_rejects_infeasible():
         build_jellyfish(3, 4, 3)
     with pytest.raises(TopologyError):
         build_jellyfish(5, 4, 3)  # odd stub total
+    with pytest.raises(TopologyError, match="r = 1"):
+        build_jellyfish(4, 2, 1)  # a perfect matching: two separate links
 
 
 def test_jellyfish_deterministic():
@@ -271,6 +274,32 @@ def test_jellyfish_rerolls_a_stalled_pairing(num_switches, ports, r, seed):
     assert validate(topo) == []
     for sid in topo.switches:
         assert sum(topo.nodes[nb].kind is NodeKind.SWITCH for nb, _ in topo.adjacency[sid]) == r
+
+
+@pytest.mark.parametrize(
+    "num_switches, ports, r, seed",
+    [(22, 4, 2, 5), (29, 4, 2, 3)] + [(80, 4, 2, seed) for seed in range(30)],
+)
+def test_jellyfish_r2_is_one_cycle(num_switches, ports, r, seed):
+    # a random 2-regular pairing is a union of cycles; the builder joins them
+    topo = build_jellyfish(num_switches, ports, r, seed)
+    assert validate(topo) == []  # connected among its checks
+    for sid in topo.switches:
+        assert sum(topo.nodes[nb].kind is NodeKind.SWITCH for nb, _ in topo.adjacency[sid]) == 2
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_join_components_keeps_degrees(seed):
+    # two triangles joined by a bridge, a 4-clique and a triangle
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
+    edges += [(u, v) for u in range(6, 10) for v in range(u + 1, 10)]
+    edges += [(10, 11), (11, 12), (12, 10)]
+    degrees = sorted(x for edge in edges for x in edge)
+    _join_components(edges, 13, random.Random(seed))
+    assert sorted(x for edge in edges for x in edge) == degrees
+    nodes = [Node(i, NodeKind.SWITCH, 3) for i in range(13)]
+    # no self-loop, no repeated link, connected
+    assert validate(Topology(nodes, [Link(u, v) for u, v in edges])) == []
 
 
 def reference_regular_switch_graph(num_switches, r, rng, max_repairs):
@@ -470,6 +499,15 @@ def test_bcn_slave_formula():
     assert topo.num_hosts == 48
     assert topo.num_switches == 4 * 3
     assert validate(topo) == []
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_bcn_alpha1_does_not_grow_with_h(beta):
+    # with alpha = 1 a unit has one group, so no level joins anything
+    base = build_bcn(1, beta, 1)
+    for h in (7, 10**5):
+        topo = build_bcn(1, beta, h)
+        assert (topo.nodes, topo.links) == (base.nodes, base.links)
 
 
 def test_bcn_level0():

@@ -9,6 +9,7 @@ from dcnbench.graph import (
     Topology,
     TopologyError,
     ValidationError,
+    component_count,
     export_edge_list,
     import_edge_list,
     multi_source_bfs,
@@ -17,7 +18,13 @@ from dcnbench.graph import (
 from dcnbench.builders import build_dcell, build_fat_tree, build_jellyfish
 from dcnbench.metrics import bisection_bandwidth_exact
 
-from hand_topologies import HAND_BUILT, bfs_distances, duplicate_host_links, isolated_twins
+from hand_topologies import (
+    HAND_BUILT,
+    bfs_distances,
+    duplicate_host_links,
+    isolated_switch,
+    isolated_twins,
+)
 
 
 def star(num_hosts, capacity=1.0):
@@ -60,6 +67,17 @@ def test_disconnected_reported():
     nodes = [Node(0, NodeKind.SWITCH, 4), Node(1, NodeKind.SWITCH, 4)]
     report = validate(Topology(nodes, []))
     assert any("disconnected" in v for v in report)
+
+
+@pytest.mark.parametrize("topology, count", [
+    (star(3), 1),
+    (isolated_switch(), 2),  # switch 5 has no links
+    (isolated_twins(), 3),  # hosts 0 and 1 have no links
+], ids=["star", "isolated-switch", "isolated-twins"])
+def test_component_count(topology, count):
+    assert component_count(topology) == count
+    disconnected = [v for v in validate(topology) if v.startswith("disconnected")]
+    assert disconnected == ([f"disconnected: {count} components"] if count > 1 else [])
 
 
 @pytest.mark.parametrize("stray", [Link(1, 9), Link(-1, 2)])
@@ -189,7 +207,7 @@ def test_neighbors_table_is_sorted_adjacency(name):
 
 def test_build_does_not_make_the_neighbors_table():
     # the table is built on first use, so builders and setups that read only
-    # adjacency (connected_components, fat_tree_router) never pay for it
+    # adjacency (component_count, fat_tree_router) never pay for it
     topo = build_jellyfish(200, 12, 8, 1)
     assert "neighbors" not in topo.__dict__
     assert len(topo.neighbors) == topo.num_nodes
