@@ -232,9 +232,9 @@ def validate(topology: Topology) -> list[str]:
 
 
 def _format_capacity(value: float) -> str:
-    # up to 6 decimal places, trailing zeros stripped
-    text = f"{value:.6f}".rstrip("0").rstrip(".")
-    return text if text else "0"
+    # the shortest text float() reads back exactly, "1" rather than "1.0"
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def export_edge_list(topology: Topology) -> str:
@@ -342,7 +342,8 @@ def multi_source_bfs(
     ``len(sources)`` x (adjacency entries) Python steps.
 
     Three consumers share the sweep. :func:`dcnbench.metrics.host_path_stats`
-    and :func:`dcnbench.routing.compute_ecmp_tables` start it from one host
+    and the ECMP next-hop groups (of :func:`dcnbench.routing.ecmp_router`
+    and :func:`dcnbench.routing.compute_ecmp_tables`) start it from one host
     per twin class and read the pair sum and next-hop masks off its levels;
     :func:`dcnbench.routing.shortest_route_avoiding` runs it from one
     destination with the forbidden nodes blocked.

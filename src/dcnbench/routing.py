@@ -1,25 +1,25 @@
-"""Route computation: generic ECMP shortest-path tables plus the specialized
+"""Route computation: generic ECMP over shortest paths plus the specialized
 per-topology algorithms (fat-tree up/down, DCell divide-and-conquer, BCube
-digit correction, F10 failure detours).
-
-Hop counts everywhere are link counts. Routes are explicit node-id sequences
-from source host to destination host.
+digit correction, F10 failure detours). Hop counts are link counts; routes
+are node-id sequences from source host to destination host.
 
 Every routing mode is one router factory of one shape,
 ``(topology) -> (src, dst, rng) -> Route``: :func:`ecmp_router`,
 :func:`fat_tree_router`, :func:`dcell_router` and :func:`bcube_router`. A
-factory checks its topology and computes everything a lookup reads once;
-the callable it returns only indexes those tables or does integer
-arithmetic on the addresses. :func:`route_provider` picks the factory.
-Every lookup raises :class:`TopologyError` when ``src == dst`` or an
-endpoint is not a host, with an O(1) test.
+factory checks its topology and computes once what a lookup reads (for
+ECMP, next hops per node and host twin class: about 2 MB on fat tree k=16,
+where :func:`compute_ecmp_tables` holds 50 MB); the callable it returns
+only indexes those or does integer arithmetic on the addresses.
+:func:`route_provider` picks the factory. Every lookup raises
+:class:`TopologyError`, after an O(1) test, when ``src == dst`` or an
+endpoint is not a host.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import (
     AddressScheme,
@@ -56,34 +56,20 @@ def check_route(topology: Topology, route: Sequence[int]) -> None:
 # ECMP
 
 
-def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
-    """Per-node map destination host -> sorted tuple of equal-cost next hops.
+def _next_hop_groups(topology: Topology, classes: list) -> Iterator[tuple]:
+    """Yield, per node in id order, ``(default, others)``: its sorted ECMP
+    next-hop tuple towards the most host twin classes of ``classes``, and
+    each other tuple with the mask of its classes (bit ``i``: class ``i``).
 
-    One :func:`multi_source_bfs` sweep starts from a representative of every
-    host twin class (see :func:`host_twin_classes`); source bit ``i`` stands
-    for class ``i``. The steps:
-
-    - **Masks.** A neighbour ``nb`` of ``v`` is one hop closer to class ``i``
-      when ``v`` gains bit ``i`` at some level ``d`` and ``nb`` gained it at
-      ``d - 1``; ORing ``gained[v][d] & gained[nb][d - 1]`` over the levels
-      gives, per neighbour, the mask of classes it is a next hop towards.
-      A node that never gains every bit means the topology is disconnected.
-    - **Groups.** Splitting the full class mask by those masks, in ascending
-      neighbour order with link multiplicity, yields the node's few distinct
-      next-hop tuples, each with the mask of classes that share it.
-    - **Fill.** A node's dict starts as a copy of a cached
-      ``dict.fromkeys(hosts, t)``, ``t`` being its group with the most
-      classes, and only the hosts of its other groups are written over.
-      Copying keeps the keys in host order.
-    - **Twin patches.** Towards a class member other than the
-      representative, only three kinds of entries differ from the
-      representative's: the class's neighbours step straight to the member,
-      the representative reaches it through the shared neighbours, and the
-      member has no entry for itself.
+    One :func:`multi_source_bfs` sweep starts from each class's first
+    member, its representative. A neighbour ``nb`` of ``v`` is a next hop
+    towards class ``i`` when ``v`` gains bit ``i`` at level ``d`` and ``nb``
+    at ``d - 1``. Splitting the full class mask by these per-neighbour
+    masks, in ascending neighbour order with link multiplicity, gives the
+    node's few distinct tuples; a representative's towards its own class is
+    ``()``. A disconnected topology raises :class:`TopologyError` first.
     """
-    hosts = topology.hosts
     num_nodes = topology.num_nodes
-    classes = host_twin_classes(topology)
     neighbours = topology.neighbors
     closer: list[dict[int, int]] = [{} for _ in range(num_nodes)]
     swept = 0
@@ -100,13 +86,9 @@ def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
         previous = gained
     if swept != num_nodes * len(classes):  # each node gains each bit at most once
         raise TopologyError("topology is disconnected")
-    all_classes = (1 << len(classes)) - 1
-    members_of = [members for _, members in classes]
-    templates: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-    tables = []
     for v in range(num_nodes):
         masks = closer[v]
-        groups = [(all_classes, ())]
+        groups = [((1 << len(classes)) - 1, ())]
         for nb in neighbours[v]:
             step = masks.get(nb)
             if step:
@@ -121,17 +103,35 @@ def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
                         split.append((mask, hops))
                 groups = split
         default = max(groups, key=lambda group: group[0].bit_count())[1]
+        yield default, [(hops, mask) for mask, hops in groups if hops != default]
+
+
+def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
+    """Per-node map destination host -> sorted tuple of equal-cost next hops.
+
+    A node's dict copies a cached ``dict.fromkeys(hosts, default)`` (keys in
+    host order) and writes the hosts of its other :func:`_next_hop_groups`
+    over it. Towards a twin other than its class's representative only three
+    kinds of entries differ: the class's neighbours step straight to the
+    twin, the representative reaches it through the shared neighbours, and
+    the twin has no entry for itself.
+    """
+    hosts = topology.hosts
+    classes = host_twin_classes(topology)
+    members_of = [members for _, members in classes]
+    templates: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+    tables = []
+    for default, others in _next_hop_groups(topology, classes):
         template = templates.get(default)
         if template is None:
             template = templates[default] = dict.fromkeys(hosts, default)
         row = template.copy()
-        for mask, hops in groups:
-            if hops != default:  # every group has its own tuple
-                while mask:
-                    low = mask & -mask
-                    for h in members_of[low.bit_length() - 1]:
-                        row[h] = hops
-                    mask ^= low
+        for hops, mask in others:
+            while mask:
+                low = mask & -mask
+                for h in members_of[low.bit_length() - 1]:
+                    row[h] = hops
+                mask ^= low
         tables.append(row)
     for nbrs, members in classes:
         links_to = Counter(nbrs).items()
@@ -148,25 +148,43 @@ def ecmp_router(topology: Topology) -> Router:
     """Shortest paths sampled hop by hop: each node steps to one of its
     sorted equal-cost next hops towards ``dst``, uniformly at random.
 
-    Builds :func:`compute_ecmp_tables` once; a lookup walks them and draws
-    ``rng.randrange(n)`` only where a node has ``n > 1`` next hops. The
-    build takes about 50 ms on Jellyfish(200,12,8) and on fat tree k=16
-    (perfbench, traced ``paths`` run, seed 1, scaled to its reference
-    speed), half of it or more spent filling the per-node dicts.
+    Each node's row, indexed by host twin class, holds its next hops towards
+    the class's representative (:func:`_next_hop_groups`); the
+    representative's own slot holds the class's neighbours. A walk reaching
+    ``dst``'s representative steps onto ``dst`` instead: only it is at
+    distance 0 from the class, and twins share their neighbours with link
+    multiplicity, so routes and ``rng.randrange(n)`` draws (``n > 1`` only)
+    are those of a :func:`compute_ecmp_tables` walk. The build takes about
+    20 ms on Jellyfish(200,12,8) (traced perfbench ``routes`` run, seed 1,
+    reference speed) and the rows hold 2 MB, where per-host dicts held 37.
     """
-    tables = compute_ecmp_tables(topology)
-    host_set = frozenset(topology.hosts)
+    classes = host_twin_classes(topology)
+    class_of = {h: (c, members[0]) for c, (_, members) in enumerate(classes) for h in members}
+    rows = []
+    for default, others in _next_hop_groups(topology, classes):
+        row = [default] * len(classes)
+        for hops, mask in others:
+            while mask:
+                low = mask & -mask
+                row[low.bit_length() - 1] = hops
+                mask ^= low
+        rows.append(row)
+    for c, (nbrs, members) in enumerate(classes):
+        rows[members[0]][c] = nbrs
 
     def route(src: int, dst: int, rng: random.Random) -> Route:
         if src == dst:
             raise TopologyError("src and dst must differ")
-        if src not in host_set or dst not in host_set:
-            raise TopologyError(f"{dst if src in host_set else src} is not a host")
+        if src not in class_of or dst not in class_of:
+            raise TopologyError(f"{dst if src in class_of else src} is not a host")
+        c, rep = class_of[dst]
         path = [src]
         cur = src
         while cur != dst:
-            hops = tables[cur][dst]
+            hops = rows[cur][c]
             cur = hops[rng.randrange(len(hops))] if len(hops) > 1 else hops[0]
+            if cur == rep:
+                cur = dst
             path.append(cur)
         return path
 
@@ -463,14 +481,11 @@ def route_provider(topology: Topology, mode: str = "auto") -> Router:
     mode's factory runs here, once per topology: it builds what a lookup
     reads, and a topology the mode cannot route raises
     :class:`TopologyError` here rather than at the first lookup.
-    Costs, measured on a 2-vCPU VM: "fat-tree" builds its tables in one
-    pass over the links (about 5 ms on fat tree k=16) and a lookup indexes
-    them (about 3 us there). "ecmp" builds :func:`compute_ecmp_tables`
-    (about 50 ms on fat tree k=16 and Jellyfish(200,12,8), 40 ms on
-    DCell(4,2) and 23 ms on BCube(4,3), from perfbench's traced ``paths``
-    run) and a lookup walks them. "dcell" and "bcube" read their builder
-    parameters once, and a lookup computes the route from the addresses,
-    about 3 us on DCell(4,2) and 2 us on BCube(4,3).
+    Costs, from perfbench's traced ``routes`` run (seed 1, scaled to its
+    reference speed): "fat-tree" builds its tables in one pass over the
+    links (about 2 ms on fat tree k=16), "ecmp" builds its class rows (about
+    20 ms on Jellyfish(200,12,8)), and "dcell" and "bcube" only read their
+    builder parameters. A lookup takes about 1 us on each of these.
     """
     mode = resolve_routing_mode(topology, mode)
     factory = ROUTERS.get(mode)

@@ -120,6 +120,19 @@ def test_round_trip_preserves_capacity_format():
     assert export_edge_list(import_edge_list(text)) == text
 
 
+@pytest.mark.parametrize(
+    "capacity, written",
+    [(1 / 3, "0.3333333333333333"), (1e-7, "1e-07"), (2.5, "2.5"), (1e20, "1e+20"), (3.0, "3")],
+)
+def test_round_trip_keeps_every_capacity(capacity, written):
+    # six fixed decimals wrote 1/3 as 0.333333 and 1e-7 as 0, which
+    # import_edge_list then rejected as a non-positive capacity
+    text = export_edge_list(star(2, capacity=capacity))
+    assert f"link 0 2 {written} 10" in text.splitlines()
+    assert import_edge_list(text).links[0].capacity == capacity
+    assert export_edge_list(import_edge_list(text)) == text
+
+
 def test_import_minimal_file():
     text = "node 0 host 1 -\nnode 1 switch 4 -\nlink 0 1 1 10\n"
     topo = import_edge_list(text)

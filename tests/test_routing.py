@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -343,6 +344,49 @@ def test_fat_tree_router_equals_ecmp_split(name):
         got = router_distribution(route, src, dst)
         assert sum(got.values()) == 1
         assert got == ecmp_distribution(tables, src, dst)
+
+
+def reference_ecmp_route(tables, src, dst, rng):
+    """The ECMP lookup as a walk of :func:`compute_ecmp_tables`: the router
+    must return the same routes with the same ``randrange`` calls."""
+    path = [src]
+    cur = src
+    while cur != dst:
+        hops = tables[cur][dst]
+        cur = hops[rng.randrange(len(hops))] if len(hops) > 1 else hops[0]
+        path.append(cur)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(ECMP_CASES))
+def test_ecmp_router_walks_the_tables(name):
+    # the router reads per-class rows and steps onto dst at its class's
+    # representative; a twin patch it missed would change a distribution
+    topo = ECMP_CASES[name]()
+    route = ecmp_router(topo)
+    tables = compute_ecmp_tables(topo)
+    pairs = list(itertools.permutations(topo.hosts, 2))
+    if len(pairs) > 3000:
+        pairs = random.Random(17).sample(pairs, 3000)
+    for src, dst in pairs:
+        assert router_distribution(route, src, dst) == ecmp_distribution(tables, src, dst)
+    ours, theirs = random.Random(23), random.Random(23)
+    for src, dst in pairs:
+        assert route(src, dst, ours) == reference_ecmp_route(tables, src, dst, theirs)
+    assert ours.random() == theirs.random()  # same draws, none where n == 1
+
+
+def test_ecmp_router_memory_is_per_class():
+    # one dict entry per (node, host) held 49.7 MB here; with one next-hop
+    # slot per (node, twin class) the build peaks at about 2.4 MB
+    topo = build_fat_tree(16)
+    tracemalloc.start()
+    try:
+        route_provider(topo, "ecmp")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_fat_tree_same_edge_length_two():
