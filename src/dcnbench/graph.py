@@ -1,7 +1,8 @@
 """Core topology model: nodes, capacitated links, adjacency, and edge-list I/O.
 
 Every builder, metric, router, and simulator in this package works on the
-immutable :class:`Topology` defined here. Node ids are dense integers. The
+immutable :class:`Topology` defined here. Node ids are their positions in
+``nodes``, ``0..num_nodes-1``. The
 builders number hosts first, and the DCell and BCube routers rely on their
 builder's layout, but a :class:`Topology` does not require it: traffic
 patterns and bisection splits work on indices into :attr:`Topology.hosts`.
@@ -99,7 +100,8 @@ class Topology:
     """Immutable graph of hosts and switches with capacitated links.
 
     ``adjacency[v]`` lists ``(neighbor, link_index)`` pairs in link insertion
-    order. A link whose endpoint is not a node id raises :class:`TopologyError`.
+    order. A node whose ``id`` is not its position in ``nodes``, or a link
+    whose endpoint is not a node id, raises :class:`TopologyError`.
     Construction is single-threaded; once built, a topology is safe to
     share read-only across concurrent analyses.
     """
@@ -112,6 +114,9 @@ class Topology:
         builder_params: Optional[dict] = None,
     ):
         self.nodes: tuple[Node, ...] = tuple(nodes)
+        for position, node in enumerate(self.nodes):
+            if node.id != position:
+                raise TopologyError(f"node {node.id} is at position {position} of nodes")
         self.links: tuple[Link, ...] = tuple(links)
         self.taxonomy = taxonomy
         self.builder_params: dict = dict(builder_params or {})
@@ -342,8 +347,9 @@ def multi_source_bfs(
     ``len(sources)`` x (adjacency entries) Python steps.
 
     Three consumers share the sweep. :func:`dcnbench.metrics.host_path_stats`
-    and the ECMP next-hop groups (of :func:`dcnbench.routing.ecmp_router`
-    and :func:`dcnbench.routing.compute_ecmp_tables`) start it from one host
+    and the one ECMP build (``dcnbench.routing._ecmp_rows``, which both
+    :func:`dcnbench.routing.ecmp_router` and
+    :func:`dcnbench.routing.compute_ecmp_tables` read) start it from one host
     per twin class and read the pair sum and next-hop masks off its levels;
     :func:`dcnbench.routing.shortest_route_avoiding` runs it from one
     destination with the forbidden nodes blocked.

@@ -320,6 +320,13 @@ def _fm_refine(
             return
 
 
+def _check_count(name: str, value: int) -> None:
+    """Raise :class:`TopologyError` naming ``name`` unless ``value`` is an
+    ``int`` of at least 1; a ``bool`` is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise TopologyError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def bisection_bandwidth_heuristic(
     topology: Topology, restarts: int = 8, seed: int = 0
 ) -> float:
@@ -339,8 +346,7 @@ def bisection_bandwidth_heuristic(
     H = len(hosts)
     if H < 2:
         raise TopologyError("bisection needs at least two hosts")
-    if restarts < 1:
-        raise TopologyError(f"restarts must be >= 1, got {restarts}")
+    _check_count("restarts", restarts)
     solver, arcs = _partition_cut_solver(topology)
     closed = list(solver.cap)
     n = topology.num_nodes
@@ -483,8 +489,7 @@ def failure_experiment(
     """
     if not 0 <= fail_fraction < 1:
         raise TopologyError("fail_fraction must be in [0, 1)")
-    if trials < 1:
-        raise TopologyError("failure experiment needs at least one trial")
+    _check_count("trials", trials)
     if topology.num_hosts < 2:
         raise TopologyError("failure experiment needs at least two hosts")
     switches = topology.switches

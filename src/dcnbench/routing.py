@@ -7,9 +7,10 @@ Every routing mode is one router factory of one shape,
 ``(topology) -> (src, dst, rng) -> Route``: :func:`ecmp_router`,
 :func:`fat_tree_router`, :func:`dcell_router` and :func:`bcube_router`. A
 factory checks its topology and computes once what a lookup reads (for
-ECMP, next hops per node and host twin class: about 2 MB on fat tree k=16,
-where :func:`compute_ecmp_tables` holds 50 MB); the callable it returns
-only indexes those or does integer arithmetic on the addresses.
+ECMP, next hops per node and host twin class, about 2 MB on fat tree k=16,
+which :func:`compute_ecmp_tables` also serves as per-node tables); the
+callable it returns only indexes those or does integer arithmetic on the
+addresses.
 :func:`route_provider` picks the factory. Every lookup raises
 :class:`TopologyError`, after an O(1) test, when ``src == dst`` or an
 endpoint is not a host.
@@ -18,7 +19,7 @@ endpoint is not a host.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections.abc import Mapping
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import (
@@ -56,19 +57,22 @@ def check_route(topology: Topology, route: Sequence[int]) -> None:
 # ECMP
 
 
-def _next_hop_groups(topology: Topology, classes: list) -> Iterator[tuple]:
-    """Yield, per node in id order, ``(default, others)``: its sorted ECMP
-    next-hop tuple towards the most host twin classes of ``classes``, and
-    each other tuple with the mask of its classes (bit ``i``: class ``i``).
+def _ecmp_rows(topology: Topology) -> tuple[dict[int, tuple[int, int]], list[list[tuple]]]:
+    """The one ECMP build: ``class_of`` maps each host to its twin class
+    ``c`` and the class's first member, its representative, and
+    ``rows[v][c]`` is ``v``'s sorted next-hop tuple towards that
+    representative; the representative's own slot holds the class's
+    neighbours.
 
-    One :func:`multi_source_bfs` sweep starts from each class's first
-    member, its representative. A neighbour ``nb`` of ``v`` is a next hop
-    towards class ``i`` when ``v`` gains bit ``i`` at level ``d`` and ``nb``
-    at ``d - 1``. Splitting the full class mask by these per-neighbour
-    masks, in ascending neighbour order with link multiplicity, gives the
-    node's few distinct tuples; a representative's towards its own class is
-    ``()``. A disconnected topology raises :class:`TopologyError` first.
+    One :func:`multi_source_bfs` sweep starts from the representatives. A
+    neighbour ``nb`` of ``v`` is a next hop towards class ``c`` when ``v``
+    gains bit ``c`` at level ``d`` and ``nb`` at ``d - 1``. Splitting the
+    full class mask by these per-neighbour masks, in ascending neighbour
+    order with link multiplicity, gives the node's few distinct tuples: the
+    largest group fills the row and the others overwrite their slots. A
+    disconnected topology raises :class:`TopologyError`.
     """
+    classes = host_twin_classes(topology)
     num_nodes = topology.num_nodes
     neighbours = topology.neighbors
     closer: list[dict[int, int]] = [{} for _ in range(num_nodes)]
@@ -86,8 +90,8 @@ def _next_hop_groups(topology: Topology, classes: list) -> Iterator[tuple]:
         previous = gained
     if swept != num_nodes * len(classes):  # each node gains each bit at most once
         raise TopologyError("topology is disconnected")
-    for v in range(num_nodes):
-        masks = closer[v]
+    rows = []
+    for v, masks in enumerate(closer):
         groups = [((1 << len(classes)) - 1, ())]
         for nb in neighbours[v]:
             step = masks.get(nb)
@@ -102,68 +106,9 @@ def _next_hop_groups(topology: Topology, classes: list) -> Iterator[tuple]:
                     else:
                         split.append((mask, hops))
                 groups = split
-        default = max(groups, key=lambda group: group[0].bit_count())[1]
-        yield default, [(hops, mask) for mask, hops in groups if hops != default]
-
-
-def compute_ecmp_tables(topology: Topology) -> list[dict[int, tuple[int, ...]]]:
-    """Per-node map destination host -> sorted tuple of equal-cost next hops.
-
-    A node's dict copies a cached ``dict.fromkeys(hosts, default)`` (keys in
-    host order) and writes the hosts of its other :func:`_next_hop_groups`
-    over it. Towards a twin other than its class's representative only three
-    kinds of entries differ: the class's neighbours step straight to the
-    twin, the representative reaches it through the shared neighbours, and
-    the twin has no entry for itself.
-    """
-    hosts = topology.hosts
-    classes = host_twin_classes(topology)
-    members_of = [members for _, members in classes]
-    templates: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-    tables = []
-    for default, others in _next_hop_groups(topology, classes):
-        template = templates.get(default)
-        if template is None:
-            template = templates[default] = dict.fromkeys(hosts, default)
-        row = template.copy()
-        for hops, mask in others:
-            while mask:
-                low = mask & -mask
-                for h in members_of[low.bit_length() - 1]:
-                    row[h] = hops
-                mask ^= low
-        tables.append(row)
-    for nbrs, members in classes:
-        links_to = Counter(nbrs).items()
-        for dst in members[1:]:
-            for nb, count in links_to:
-                tables[nb][dst] = (dst,) * count
-            tables[members[0]][dst] = nbrs
-        for dst in members:
-            del tables[dst][dst]
-    return tables
-
-
-def ecmp_router(topology: Topology) -> Router:
-    """Shortest paths sampled hop by hop: each node steps to one of its
-    sorted equal-cost next hops towards ``dst``, uniformly at random.
-
-    Each node's row, indexed by host twin class, holds its next hops towards
-    the class's representative (:func:`_next_hop_groups`); the
-    representative's own slot holds the class's neighbours. A walk reaching
-    ``dst``'s representative steps onto ``dst`` instead: only it is at
-    distance 0 from the class, and twins share their neighbours with link
-    multiplicity, so routes and ``rng.randrange(n)`` draws (``n > 1`` only)
-    are those of a :func:`compute_ecmp_tables` walk. The build takes about
-    20 ms on Jellyfish(200,12,8) (traced perfbench ``routes`` run, seed 1,
-    reference speed) and the rows hold 2 MB, where per-host dicts held 37.
-    """
-    classes = host_twin_classes(topology)
-    class_of = {h: (c, members[0]) for c, (_, members) in enumerate(classes) for h in members}
-    rows = []
-    for default, others in _next_hop_groups(topology, classes):
-        row = [default] * len(classes)
-        for hops, mask in others:
+        groups.sort(key=lambda group: group[0].bit_count())
+        row = [groups.pop()[1]] * len(classes)
+        for mask, hops in groups:
             while mask:
                 low = mask & -mask
                 row[low.bit_length() - 1] = hops
@@ -171,6 +116,59 @@ def ecmp_router(topology: Topology) -> Router:
         rows.append(row)
     for c, (nbrs, members) in enumerate(classes):
         rows[members[0]][c] = nbrs
+    class_of = {h: (c, members[0]) for c, (_, members) in enumerate(classes) for h in members}
+    return class_of, rows
+
+
+class _EcmpTable(Mapping):
+    """One node's read-only ECMP table over its class row: destination host
+    (in host order, the node itself left out) -> sorted tuple of equal-cost
+    next hops, with link multiplicity.
+
+    ``m[dst]`` is the row's slot for ``dst``'s class. Towards a twin other
+    than the representative ``rep``, a slot ``(rep,) * k`` reads
+    ``(dst,) * k``: only ``rep`` is at distance 0 from the class, and twins
+    share their neighbours with link multiplicity (the representative rule).
+    """
+
+    def __init__(self, node: int, row: list, hosts: tuple[int, ...], class_of: dict):
+        self._node, self._row, self._hosts, self._class_of = node, row, hosts, class_of
+
+    def __getitem__(self, dst: int) -> tuple[int, ...]:
+        if dst == self._node:
+            raise KeyError(dst)
+        c, rep = self._class_of[dst]
+        hops = self._row[c]
+        return (dst,) * len(hops) if dst != rep and hops[0] == rep else hops
+
+    def __iter__(self) -> Iterator[int]:
+        return (h for h in self._hosts if h != self._node)
+
+    def __len__(self) -> int:
+        return len(self._hosts) - (self._node in self._class_of)
+
+
+def compute_ecmp_tables(topology: Topology) -> list[Mapping[int, tuple[int, ...]]]:
+    """Per node, a read-only map destination host -> sorted tuple of
+    equal-cost next hops: a view over the node's :func:`_ecmp_rows` row, so
+    memory grows with twin classes, not hosts (a 2.5 MB peak on fat tree
+    k=16, where one dict entry per (node, host) took 56 MB)."""
+    class_of, rows = _ecmp_rows(topology)
+    return [_EcmpTable(v, row, topology.hosts, class_of) for v, row in enumerate(rows)]
+
+
+def ecmp_router(topology: Topology) -> Router:
+    """Shortest paths sampled hop by hop: each node steps to one of its
+    sorted equal-cost next hops towards ``dst``, uniformly at random.
+
+    A lookup reads ``rows[cur][class of dst]`` (:func:`_ecmp_rows`) and
+    steps onto ``dst`` where the walk reaches its class's representative
+    (the rule of :class:`_EcmpTable`), so routes and ``rng.randrange(n)``
+    draws (``n > 1`` only) are those of a :func:`compute_ecmp_tables` walk.
+    The build takes about 20 ms on Jellyfish(200,12,8) (traced perfbench
+    ``routes`` run, seed 1, reference speed) and the rows hold 2 MB.
+    """
+    class_of, rows = _ecmp_rows(topology)
 
     def route(src: int, dst: int, rng: random.Random) -> Route:
         if src == dst:

@@ -89,6 +89,18 @@ def test_link_endpoint_outside_node_ids_rejected(stray):
         Topology(nodes, [Link(0, 2), Link(1, 2), stray])
 
 
+@pytest.mark.parametrize("ids", [(1, 0, 2), (5, 1, 2), (0, 2, 1)],
+                         ids=["kinds-disagree", "id-past-end", "last-two-swapped"])
+def test_node_id_must_be_its_position(ids):
+    # hosts are listed by id and kinds read by position: (1, 0, 2) would call
+    # switch 1 a host, and (5, 1, 2) failed in validate with an IndexError
+    kinds = (NodeKind.HOST, NodeKind.SWITCH, NodeKind.HOST)
+    nodes = [Node(i, kind, 2) for i, kind in zip(ids, kinds)]
+    first = next(p for p, i in enumerate(ids) if i != p)
+    with pytest.raises(TopologyError, match=f"node {ids[first]} is at position {first} "):
+        Topology(nodes, [Link(0, 1), Link(1, 2)])
+
+
 def test_export_star_line_counts():
     text = export_edge_list(star(2))
     lines = text.splitlines()

@@ -293,13 +293,13 @@ def test_heuristic_closes_jellyfish_gap():
     assert bisection_bandwidth_heuristic(topo, restarts=1, seed=0) <= 40
 
 
-@pytest.mark.parametrize("restarts", [0, -1])
+@pytest.mark.parametrize("restarts", [0, -1, 2.5, True])
 def test_heuristic_rejects_bad_restarts(monkeypatch, restarts):
     def no_solver(topology):
         raise AssertionError("solver built before restarts was checked")
 
     monkeypatch.setattr(metrics, "_partition_cut_solver", no_solver)
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match="restarts"):
         bisection_bandwidth_heuristic(build_fat_tree(4), restarts=restarts)
 
 
@@ -489,6 +489,13 @@ def test_failure_experiment_golden(name):
 def test_failure_experiment_needs_a_trial():
     with pytest.raises(TopologyError, match="trial"):
         failure_experiment(build_fat_tree(4), 0.1, trials=0)
+
+
+@pytest.mark.parametrize("trials", [1.5, True, "2"])
+def test_failure_experiment_rejects_non_integer_trials(trials):
+    # range() raised a bare TypeError for 1.5, and True ran as one trial
+    with pytest.raises(TopologyError, match="trials"):
+        failure_experiment(build_fat_tree(4), 0.1, trials=trials)
 
 
 def test_failure_experiment_needs_two_hosts():

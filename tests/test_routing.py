@@ -68,9 +68,13 @@ def reference_ecmp_tables(topology):
     return tables
 
 
-def assert_same_tables(got, want):
+def assert_same_tables(topology, got, want):
     assert got == want
     assert [list(t) for t in got] == [list(t) for t in want]  # key order too
+    assert [len(t) for t in got] == [len(t) for t in want]
+    for v, table in enumerate(got):  # a switch, the node itself, an id past the end
+        for absent in (*topology.switches[:1], v, topology.num_nodes):
+            assert table.get(absent) is None
 
 
 ECMP_CASES = {name: (lambda name=name: build_preset(name)) for name in PRESETS}
@@ -89,12 +93,12 @@ for seed in range(5):  # random wiring splits nodes into many next-hop groups
 @pytest.mark.parametrize("name", sorted(ECMP_CASES))
 def test_ecmp_tables_match_reference(name):
     topo = ECMP_CASES[name]()
-    assert_same_tables(compute_ecmp_tables(topo), reference_ecmp_tables(topo))
+    assert_same_tables(topo, compute_ecmp_tables(topo), reference_ecmp_tables(topo))
 
 
 @pytest.mark.parametrize("build", [lambda: build_fat_tree(4), *HAND_BUILT.values()])
 def test_ecmp_tables_share_no_dict(build):
-    # a shared dict would let one twin's self-entry deletion reach another
+    # each node's view leaves out the node's own key, so no two nodes share one
     topo = build()
     tables = compute_ecmp_tables(topo)
     assert len({id(t) for t in tables}) == topo.num_nodes
@@ -377,16 +381,17 @@ def test_ecmp_router_walks_the_tables(name):
 
 
 def test_ecmp_router_memory_is_per_class():
-    # one dict entry per (node, host) held 49.7 MB here; with one next-hop
-    # slot per (node, twin class) the build peaks at about 2.4 MB
+    # one dict entry per (node, host) held 56 MB here; with one next-hop slot
+    # per (node, twin class) the router and the table views peak at about 2.5 MB
     topo = build_fat_tree(16)
-    tracemalloc.start()
-    try:
-        route_provider(topo, "ecmp")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    for build in (lambda: route_provider(topo, "ecmp"), lambda: compute_ecmp_tables(topo)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def test_fat_tree_same_edge_length_two():
