@@ -56,6 +56,14 @@ def _check_cap(num_nodes: int, what: str) -> None:
         )
 
 
+def _check_sizes(**sizes: object) -> None:
+    """Raise :class:`TopologyError` naming the first size parameter that is
+    not an ``int``; a ``bool`` is not a size."""
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TopologyError(f"{name} must be an integer, got {value!r}")
+
+
 def _capped_power(base: int, exp: int, what: str) -> int:
     """``base ** exp``, a lower bound on the node count of ``what``, checked against
     the cap before it is formed: a base >= 2 passes it within cap.bit_length() factors."""
@@ -152,6 +160,7 @@ def _fat_tree_family(
     half = k // 2
     if hosts_per_edge is None:
         hosts_per_edge = half
+    _check_sizes(hosts_per_edge=hosts_per_edge)
     if hosts_per_edge < 1:
         raise TopologyError("hosts_per_edge must be >= 1")
     num_hosts = k * half * hosts_per_edge
@@ -224,6 +233,7 @@ def build_fat_tree(k: int, hosts_per_edge: Optional[int] = None) -> Topology:
     ``hosts_per_edge`` overrides the per-edge host count (e.g. 1 replicates
     the survey's 8-host evaluation setup) without touching the switch fabric.
     """
+    _check_sizes(k=k)
     if k < 2 or k % 2 != 0:
         raise TopologyError(f"fat tree requires even k >= 2, got {k}")
     half = k // 2
@@ -240,6 +250,7 @@ def build_f10(k: int, hosts_per_edge: Optional[int] = None) -> Topology:
     strided striping) so a core can reach a pod through a second aggregation
     switch in two extra hops when one fails.
     """
+    _check_sizes(k=k)
     if k < 4 or k % 2 != 0:
         raise TopologyError(f"F10 requires even k >= 4, got {k}")
     half = k // 2
@@ -264,6 +275,10 @@ def build_facebook_fabric(
     switch in each plane. Fabric links default to 4x the host link capacity,
     modeling 40G uplinks over 10G host downlinks.
     """
+    _check_sizes(
+        edge_switches=edge_switches, agg_switches=agg_switches,
+        hosts_per_edge=hosts_per_edge, planes=planes,
+    )
     if edge_switches < 1 or agg_switches < 1 or planes < 1:
         raise TopologyError("facebook fabric requires positive switch/plane counts")
     if hosts_per_edge < 0:
@@ -348,6 +363,7 @@ def _join_complete(groups: Sequence[Sequence[int]]) -> list[Link]:
 def _dcell_t_list(n: int, level: int, limit: float = float("inf")) -> list[int]:
     """Host counts t_0..t_level of DCell(n, level): t_0 = n, t_l = t_{l-1}*(t_{l-1}+1).
     The list ends early at the first count above ``limit``."""
+    _check_sizes(n=n, level=level)
     if n < 2 or level < 0:
         raise TopologyError(f"dcell requires n >= 2 and level >= 0, got n={n}, level={level}")
     ts = [n]
@@ -458,6 +474,7 @@ def _bcube_parts(n: int, k: int):
 
 
 def _check_bcube_params(n: int, k: int) -> None:
+    _check_sizes(n=n, k=k)
     if n < 2 or k < 0:
         raise TopologyError(f"bcube requires n >= 2 and k >= 0, got n={n}, k={k}")
 
@@ -485,6 +502,7 @@ def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
     in the same row (and same column) pairwise joined by one link between
     designated switches, forming a complete graph per dimension.
     """
+    _check_sizes(rows=rows, cols=cols)
     if rows < 1 or cols < 1:
         raise TopologyError("mdcube requires rows, cols >= 1")
     _check_bcube_params(n, k)
@@ -683,6 +701,7 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
     and 0.34 s at 4,000; the pairing alone takes 1.8 s at 20,000 switches
     with r 8, the most the default size cap admits with ports 12.
     """
+    _check_sizes(num_switches=num_switches, ports=ports, r=r)
     if r >= ports:
         raise TopologyError(f"need r < ports, got r={r}, ports={ports}")
     if r < 1:
@@ -767,6 +786,10 @@ def build_scafida(
     ``switch_links`` attachments each, then multi-homed hosts with up to
     ``host_links`` uplinks to distinct switches. Deterministic per seed.
     """
+    _check_sizes(
+        num_switches=num_switches, num_hosts=num_hosts, max_degree=max_degree,
+        switch_links=switch_links, host_links=host_links,
+    )
     if max_degree < 2:
         raise TopologyError("max_degree must be >= 2")
     if num_switches < 1:
@@ -876,6 +899,7 @@ def build_hcn(n: int, h: int) -> Topology:
     recursively interconnected through the hosts' second ports; n ports
     remain free at the top for further extension.
     """
+    _check_sizes(n=n, h=h)
     if n < 2 or h < 0:
         raise TopologyError(f"hcn requires n >= 2 and h >= 0, got n={n}, h={h}")
     what = f"hcn(n={n}, h={h})"
@@ -900,6 +924,7 @@ def build_bcn(alpha: int, beta: int, h: int) -> Topology:
     servers per group; the alpha^h * beta slave servers of each unit then form
     a complete graph over alpha^h * beta + 1 units in the second dimension.
     """
+    _check_sizes(alpha=alpha, beta=beta, h=h)
     if alpha < 1 or beta < 0 or h < 0:
         raise TopologyError("bcn requires alpha >= 1, beta >= 0, h >= 0")
     n = alpha + beta

@@ -15,7 +15,10 @@ two host sets; each partition's cut is a max-flow between its two host sets.
   ones. All branches share one residual network: fixing a class opens arcs
   and only adds capacity, so a branch resumes its parent's max-flow, and it
   is cut once that flow, a lower bound on every partition below it, reaches
-  the best cut found.
+  the best cut found. Before the search, swaps of two switches with their
+  hosts that map the capacitated graph onto itself are found and checked
+  link by link; a count vector that such a swap maps to a lexicographically
+  smaller one has the same cut as that one, so the search skips it.
 - Heuristic: Fiduccia-Mattheyses refinement moving whole nodes (switches
   freely, hosts within one of balance) from seeded random starts, each
   result evaluated by max-flow. Every value it reports is the cut of a real
@@ -35,6 +38,7 @@ import heapq
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import (
@@ -190,6 +194,68 @@ def _partition_cut_solver(topology: Topology) -> tuple[MaxFlow, dict[int, tuple[
     return solver, arcs
 
 
+def _switch_swaps(
+    topology: Topology, classes: list[list[int]]
+) -> list[tuple[tuple[int, int], ...]]:
+    """Class permutations induced by verified switch-swap automorphisms,
+    each as its pairs ``(a, g[a])`` with ``a < g[a]``, in order of ``a``.
+
+    A swap exchanges two switches and pairs their hosts in order of each
+    host's other attachments, then id. Only switches with one key are
+    tried: their non-host neighbours with capacities, and per host the
+    capacities of its links to the switch and its other ``(neighbour,
+    capacity)`` attachments, so switches whose hosts hang off different
+    nodes are never compared. A swap is kept when every link at a node it
+    moves maps onto a link of equal capacity; it is then an automorphism of
+    the capacitated graph, so it maps each twin class onto a class of equal
+    size. Swaps that move no host, and repeats of one class permutation,
+    are dropped.
+    """
+    links, adjacency = topology.links, topology.adjacency
+    attachments = {
+        h: tuple(sorted((nb, links[i].capacity) for nb, i in adjacency[h])) for h in topology.hosts
+    }
+    by_key: dict = {}
+    for w in topology.switches:
+        fabric = []
+        attached: dict[int, tuple] = {}
+        for nb, i in adjacency[w]:
+            if nb not in attachments:
+                fabric.append((nb, links[i].capacity))
+            elif nb not in attached:
+                own = attachments[nb]
+                lo, hi = bisect_left(own, (w,)), bisect_left(own, (w + 1,))
+                attached[nb] = (tuple([cap for _, cap in own[lo:hi]]), own[:lo] + own[hi:])
+        key = (tuple(sorted(fabric)), tuple(sorted(attached.values())))
+        by_key.setdefault(key, []).append((w, attached))
+    class_of = {h: c for c, members in enumerate(classes) for h in members}
+    kept: dict[tuple, None] = {}
+    for group in by_key.values():
+        if len(group) < 2:
+            continue
+        hosts_of = {w: sorted(attached, key=lambda h: (attached[h], h)) for w, attached in group}
+        for u, v in itertools.combinations(hosts_of, 2):
+            sigma = {u: v, v: u}
+            for a, b in zip(hosts_of[u], hosts_of[v]):
+                sigma[a], sigma[b] = b, a
+            if len(sigma) != 2 + 2 * len(hosts_of[u]):
+                continue  # a host of both switches
+            if any(
+                sorted((sigma.get(nb, nb), links[i].capacity) for nb, i in adjacency[x])
+                != sorted((nb, links[i].capacity) for nb, i in adjacency[y])
+                for x, y in sigma.items()
+            ):
+                continue
+            pairs = []
+            for c, members in enumerate(classes):
+                image = class_of[sigma.get(members[0], members[0])]
+                if c < image:
+                    pairs.append((c, image))
+            if pairs:
+                kept[tuple(pairs)] = None
+    return list(kept)
+
+
 def bisection_bandwidth_exact(topology: Topology) -> float:
     """Minimum cut capacity over all balanced host bipartitions, by branch
     and bound. Guarded by :data:`EXACT_BISECTION_MAX_HOSTS` since the
@@ -202,6 +268,21 @@ def bisection_bandwidth_exact(topology: Topology) -> float:
     in a range that can still fill side A; with an even host count a count
     vector and its complement are the same partition, and only the
     lexicographically smaller of the two is searched.
+
+    Symmetry cuts the leaves further. :func:`_switch_swaps` finds swaps of
+    two switches, with their hosts paired, that map every link onto a link
+    of equal capacity; each permutes the twin classes and so maps a count
+    vector to another with the same cut. The search drops a vector as soon as
+    some such permutation maps its fixed prefix to a lexicographically
+    smaller one (lex-leader constraints, Crawford et al., KR 1996), checking
+    a permutation only once the classes its next pair compares are fixed.
+    The result stays exact: every vector in an orbit of the swaps and the
+    complement has the same cut, and the lexicographically smallest vector
+    of the orbit meets every such constraint and the complement rule. On
+    fat-tree k=4 and F10 k=4 this leaves 508 of 1,573 max-flow calls, on
+    BCube(4, 1) 229 of 2,205. It does not help where no switch swap exists,
+    as on Jellyfish, BCube(2, 3) and HCN, nor does it find swaps of whole
+    fat-tree pods.
 
     Every level works on one residual network, with the fixed hosts' source
     or sink arcs open. Fixing a class only opens arcs, so a branch resumes
@@ -223,11 +304,18 @@ def bisection_bandwidth_exact(topology: Topology) -> float:
     s, t = topology.num_nodes, topology.num_nodes + 1
     classes = [members for _, members in host_twin_classes(topology)]
     room = list(itertools.accumulate(len(m) for m in reversed(classes)))[::-1] + [0]
+    # starts[b]: (pairs, 0) per class permutation whose first pair (a, b) waits for class b
+    starts: list[list[tuple[tuple[tuple[int, int], ...], int]]] = [[] for _ in classes]
+    for pairs in _switch_swaps(topology, classes):
+        starts[pairs[0][1]].append((pairs, 0))
+    counts = [0] * len(classes)
     best = INF
 
-    def search(i: int, left: int, tied: bool, flow: float) -> None:
+    def search(i: int, left: int, tied: bool, flow: float, waiting: tuple) -> None:
         # classes[:i] are fixed, with ``left`` hosts still due on side A;
-        # tied: counts[:i] equals its complement, so counts[i] may not exceed its own
+        # tied: counts[:i] equals its complement, so counts[i] may not exceed its own;
+        # waiting: (pairs, k) per class permutation g that maps counts[:i] onto
+        # itself so far; its next pair pairs[k] = (a, b) is decided once class b is fixed
         nonlocal best
         if i == len(classes):
             best = flow
@@ -235,15 +323,32 @@ def bisection_bandwidth_exact(topology: Topology) -> float:
         members = classes[i]
         n = len(members)
         fixed = list(solver.cap)
+        due, later = starts[i], waiting
+        if waiting:
+            due = due + [(pairs, k) for pairs, k in waiting if pairs[k][1] == i]
+            later = tuple((pairs, k) for pairs, k in waiting if pairs[k][1] != i)
         for c in range(max(0, left - room[i + 1]), min(n, left, n // 2 if tied else n) + 1):
-            solver.cap[:] = fixed
-            for j, h in enumerate(members):
-                solver.cap[arcs[h][j < c]] = INF
-            total = flow + solver.max_flow(s, t, best - flow)
-            if total < best:
-                search(i + 1, left - c, tied and 2 * c == n, total)
+            counts[i] = c
+            pending = later
+            for pairs, k in due:  # lex-leader: skip c if g maps counts[:i+1] lower
+                while (k < len(pairs) and pairs[k][1] <= i
+                       and counts[pairs[k][0]] == counts[pairs[k][1]]):
+                    k += 1
+                if k < len(pairs):  # else g maps counts onto itself
+                    a, b = pairs[k]
+                    if b > i:
+                        pending += ((pairs, k),)
+                    elif counts[a] > counts[b]:
+                        break
+            else:
+                solver.cap[:] = fixed
+                for j, h in enumerate(members):
+                    solver.cap[arcs[h][j < c]] = INF
+                total = flow + solver.max_flow(s, t, best - flow)
+                if total < best:
+                    search(i + 1, left - c, tied and 2 * c == n, total, pending)
 
-    search(0, H // 2, H % 2 == 0, 0.0)
+    search(0, H // 2, H % 2 == 0, 0.0, ())
     return best
 
 
@@ -381,7 +486,9 @@ def bisection_bandwidth_heuristic(
 def _bisection(topology: Topology, restarts: int = 8, seed: int = 0) -> tuple[float, str]:
     """Bisection bandwidth and the method that found it: "exact" up to
     :data:`EXACT_BISECTION_MAX_HOSTS` hosts, "heuristic" (an upper bound)
-    beyond."""
+    beyond. ``restarts`` is checked on every topology, though only the
+    heuristic uses it."""
+    _check_count("restarts", restarts)
     if topology.num_hosts <= EXACT_BISECTION_MAX_HOSTS:
         return bisection_bandwidth_exact(topology), "exact"
     return bisection_bandwidth_heuristic(topology, restarts=restarts, seed=seed), "heuristic"
@@ -392,12 +499,14 @@ def oversubscription_ratio(topology: Topology, bisection: float | None = None) -
 
     1.0 means non-blocking. When ``bisection`` is not supplied, it is computed
     exactly up to :data:`EXACT_BISECTION_MAX_HOSTS` hosts and heuristically
-    beyond.
+    beyond; a supplied value must be a finite number > 0.
     """
     if bisection is None:
         bisection, _ = _bisection(topology)
     if bisection == 0:
         raise TopologyError("bisection bandwidth is 0: some balanced host partition is disconnected")
+    if not 0 < bisection < INF:  # NaN fails every comparison
+        raise TopologyError(f"bisection must be a finite number > 0, got {bisection!r}")
     host_set = set(topology.hosts)
     access = 0.0
     for link in topology.links:

@@ -635,6 +635,32 @@ def test_bad_parameter_is_named(builder, args, kwargs, name):
         builder(*args, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "builder, args, kwargs, name",
+    [
+        (build_fat_tree, (4.0,), {}, "k"),
+        (build_fat_tree, (4,), {"hosts_per_edge": 1.0}, "hosts_per_edge"),
+        (build_f10, (4.0,), {}, "k"),
+        (build_dcell, (4, 1.0), {}, "level"),
+        (build_dcell, (4, True), {}, "level"),  # True once built DCell(4, 1)
+        (dcell_host_count, (4.0, 1), {}, "n"),
+        (build_bcube, (4, 1.0), {}, "k"),
+        (build_bcube, (4, True), {}, "k"),
+        (build_jellyfish, (10, 4, 3.0), {}, "r"),
+        (build_hcn, (4, 1.0), {}, "h"),
+        (build_bcn, (2, 2, 1.0), {}, "h"),
+        (build_mdcube, (2, 2, 2, 1.0), {}, "k"),
+        (build_mdcube, (2.0, 2, 2, 1), {}, "rows"),
+        (build_scafida, (10.0, 8, 4), {}, "num_switches"),
+        (build_facebook_fabric, (8,), {"hosts_per_edge": 1.5}, "hosts_per_edge"),
+    ],
+)
+def test_size_parameter_must_be_an_int(builder, args, kwargs, name):
+    # a float once raised a bare TypeError from range()
+    with pytest.raises(TopologyError, match=f"^{name} must be an integer"):
+        builder(*args, **kwargs)
+
+
 # --- pinned output -------------------------------------------------------
 
 

@@ -1,23 +1,34 @@
 import collections
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
 
-from dcnbench.graph import Link, Node, NodeKind, Topology, TopologyError, import_edge_list
+from dcnbench.graph import (
+    Link,
+    Node,
+    NodeKind,
+    Topology,
+    TopologyError,
+    host_twin_classes,
+    import_edge_list,
+)
 from dcnbench.builders import (
     PRESETS,
     build_bcube,
     build_dcell,
     build_fat_tree,
     build_jellyfish,
+    build_mdcube,
     build_preset,
     build_scafida,
 )
 from dcnbench import metrics
 from dcnbench.metrics import (
     INF,
+    MaxFlow,
     SurvivalStats,
     _partition_cut_solver,
     avg_host_path,
@@ -230,6 +241,17 @@ def odd_dumbbell():
     return Topology(nodes, links)
 
 
+def unswappable_switches():
+    """Switches 5 and 6 hold two unit-linked hosts each, and hosts 0 and 2
+    also reach switches 7 and 8, which are linked; host 4 hangs off 7 too.
+    5 and 6 agree on degree, host count and capacities, but 7 and 8 differ
+    in degree, so no automorphism swaps 5 and 6."""
+    nodes = [Node(i, NodeKind.HOST, 2) for i in range(5)]
+    nodes += [Node(i, NodeKind.SWITCH, 4) for i in range(5, 9)]
+    pairs = [(0, 5), (1, 5), (2, 6), (3, 6), (0, 7), (2, 8), (7, 8), (4, 7)]
+    return Topology(nodes, [Link(a, b) for a, b in pairs])
+
+
 BISECTION_CASES = {
     f"{name}@{seed}": (lambda name=name, seed=seed: build_preset(name, seed), seed)
     for name in PRESETS
@@ -241,6 +263,10 @@ BISECTION_CASES.update(
     isolated_twins=(isolated_twins, 0),  # bisection 0
     odd_dumbbell=(odd_dumbbell, 0),
     star5=(lambda: star(5), 0),
+    unswappable_switches=(unswappable_switches, 0),
+    bcube_n2_k3=(lambda: build_bcube(2, 3), 0),  # no switch swap
+    mdcube_2x2_n2_k1=(lambda: build_mdcube(2, 2, 2, 1), 0),
+    dcell_n3_l1=(lambda: build_dcell(3, 1), 0),
 )
 # random graphs with few twins, where the branch and bound cuts at different depths
 BISECTION_CASES.update(
@@ -257,6 +283,60 @@ def test_bisection_exact_and_heuristic_match_reference(name):
     exact = bisection_bandwidth_exact(topo)
     assert exact == cached_reference_bisection(topo)
     assert bisection_bandwidth_heuristic(topo, restarts=8, seed=seed) == exact
+
+
+@pytest.mark.parametrize("name", sorted(BISECTION_CASES))
+def test_switch_swaps_keep_every_cut(name):
+    # the search skips a count vector for its image, so images must cut alike
+    topo = BISECTION_CASES[name][0]()
+    classes = [members for _, members in host_twin_classes(topo)]
+    pick = random.Random(name)
+    for pairs in metrics._switch_swaps(topo, classes):
+        assert list(pairs) == sorted(pairs) and all(a < b for a, b in pairs)
+        image = {}
+        for a, b in pairs:
+            assert len(classes[a]) == len(classes[b])
+            image.update(zip(classes[a], classes[b]))
+            image.update(zip(classes[b], classes[a]))
+        for _ in range(20):
+            side_a = {h for h in topo.hosts if pick.randrange(2)}
+            image_a = {image.get(h, h) for h in side_a}
+            assert reference_cut(topo, side_a) == reference_cut(topo, image_a)
+
+
+@pytest.mark.parametrize(
+    "name, build, kept",
+    [
+        ("fat-tree-k4", lambda: build_fat_tree(4), 4),  # the edge pair of each pod
+        ("bcube-n4-k1", lambda: build_bcube(4, 1), 12),  # any two switches of one level
+        ("jellyfish-s10-p4-r3", lambda: build_preset("jellyfish-s10-p4-r3"), 0),
+        ("bcube-n2-k3", lambda: build_bcube(2, 3), 0),
+        ("unswappable_switches", unswappable_switches, 0),
+    ],
+)
+def test_switch_swaps_kept(name, build, kept):
+    topo = build()
+    classes = [members for _, members in host_twin_classes(topo)]
+    assert len(metrics._switch_swaps(topo, classes)) == kept
+
+
+@pytest.mark.parametrize(
+    "name, unpruned_calls, factor",
+    [("fat-tree-k4", 1573, 2), ("f10-k4", 1573, 2), ("bcube-n4-k1", 2205, 5)],
+)
+def test_switch_swaps_cut_max_flow_calls(monkeypatch, name, unpruned_calls, factor):
+    # unpruned_calls: what the search makes with the complement rule alone
+    calls = 0
+    max_flow = MaxFlow.max_flow
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return max_flow(self, *args, **kwargs)
+
+    monkeypatch.setattr(MaxFlow, "max_flow", counted)
+    assert bisection_bandwidth_exact(build_preset(name)) == 8.0
+    assert calls <= unpruned_calls / factor
 
 
 RESUME_CASES = {name: build for name, (build, seed) in BISECTION_CASES.items() if seed == 0}
@@ -318,6 +398,13 @@ def test_oversubscription_star():
 def test_oversubscription_dumbbell():
     # 4 unit host links / 2 = 2 over a bisection of 1
     assert oversubscription_ratio(dumbbell(2)) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("bisection", [-1.0, math.nan, math.inf])
+def test_oversubscription_rejects_bad_bisection(bisection):
+    # these once gave -8.0, NaN and 0.0
+    with pytest.raises(TopologyError, match="finite number > 0"):
+        oversubscription_ratio(build_fat_tree(4), bisection=bisection)
 
 
 def test_oversubscription_rejects_zero_bisection():
@@ -512,6 +599,13 @@ def test_metrics_report_asdict():
     assert report["topology"] == "fat_tree"
     assert (report["hosts"], report["switches"], report["host_diameter"]) == (2, 5, 6)
     assert report["method"] == "exact"
+
+
+@pytest.mark.parametrize("restarts", [0, 1.5, True])
+@pytest.mark.parametrize("k", [4, 6])  # exact at 16 hosts, heuristic at 54
+def test_compute_metrics_rejects_bad_restarts(k, restarts):
+    with pytest.raises(TopologyError, match="restarts"):
+        compute_metrics(build_fat_tree(k), restarts=restarts)
 
 
 def test_metrics_report_heuristic_flag():
