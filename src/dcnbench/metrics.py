@@ -72,6 +72,11 @@ class MaxFlow:
     opening a closed arc, keeps that flow feasible, so a call after them
     resumes rather than restarts: the calls sum to one max-flow from
     scratch on the final network.
+
+    A residual arc counts as closed at or below :attr:`tolerance`, a fixed
+    share of the smallest positive finite capacity given to
+    :meth:`add_edge`, so the same network at any capacity scale gives the
+    same flow scaled.
     """
 
     def __init__(self, n: int):
@@ -79,8 +84,16 @@ class MaxFlow:
         self.to: list[int] = []
         self.cap: list[float] = []
         self.head: list[list[int]] = [[] for _ in range(n)]
+        self.smallest = INF  # smallest positive finite capacity given
+
+    @property
+    def tolerance(self) -> float:
+        return 1e-12 * (self.smallest if self.smallest < INF else 1.0)
 
     def add_edge(self, u: int, v: int, cap: float, cap_rev: float = 0.0) -> int:
+        for c in (cap, cap_rev):
+            if 0 < c < self.smallest:
+                self.smallest = c
         idx = len(self.to)
         self.head[u].append(idx)
         self.to.append(v)
@@ -94,7 +107,7 @@ class MaxFlow:
         """Flow added from ``s`` to ``t``, at most ``limit``."""
         to, cap, head = self.to, self.cap, self.head
         flow = 0.0
-        eps = 1e-12
+        eps = self.tolerance
         while flow < limit - eps:
             via = [-1] * self.n  # the arc a BFS first reached each node by
             via[s] = -2
@@ -357,6 +370,7 @@ def _fm_refine(
     is_host: list[bool],
     side: list[int],
     target: int,
+    eps: float,
 ) -> None:
     """Fiduccia-Mattheyses passes over the node partition ``side`` (1 on
     side A, which holds exactly ``target`` hosts), in place, until a pass
@@ -368,10 +382,10 @@ def _fm_refine(
     Kahng (1997) found to refine best. Switches move freely; a host moves
     only while side A's host count stays within one of ``target``. Each move
     updates its unlocked neighbours' gains, and the pass then rolls back to
-    its best prefix whose host count is exactly ``target``.
+    its best prefix whose host count is exactly ``target``. A prefix must
+    gain more than ``eps`` to count as better.
     """
     n = len(side)
-    eps = 1e-12
     stamp = itertools.count()
 
     def heap_of(v: int) -> int:  # 0: switches, 1: hosts on B, 2: hosts on A
@@ -473,7 +487,7 @@ def bisection_bandwidth_heuristic(
                 if is_host[nb]:
                     host_cap[side[nb]] += cap
             side[v] = 1 if host_cap[1] > host_cap[0] else 0
-        _fm_refine(weighted, is_host, side, H // 2)
+        _fm_refine(weighted, is_host, side, H // 2, solver.tolerance)
         solver.cap[:] = closed
         for h in hosts:
             solver.cap[arcs[h][side[h]]] = INF

@@ -2,6 +2,7 @@ import pytest
 
 from dcnbench.graph import (
     Address,
+    AddressScheme,
     EdgeListParseError,
     Link,
     Node,
@@ -15,8 +16,9 @@ from dcnbench.graph import (
     multi_source_bfs,
     validate,
 )
-from dcnbench.builders import build_dcell, build_fat_tree, build_jellyfish
+from dcnbench.builders import PRESETS, build_dcell, build_fat_tree, build_jellyfish, build_preset
 from dcnbench.metrics import bisection_bandwidth_exact
+from dcnbench.routing import resolve_routing_mode, route_provider
 
 from hand_topologies import (
     HAND_BUILT,
@@ -32,6 +34,32 @@ def star(num_hosts, capacity=1.0):
     nodes.append(Node(num_hosts, NodeKind.SWITCH, num_hosts, label="sw"))
     links = [Link(i, num_hosts, capacity) for i in range(num_hosts)]
     return Topology(nodes, links)
+
+
+RECORDS = [
+    Address((1, 2), AddressScheme.BCUBE_DIGITS),
+    Node(0, NodeKind.HOST, 1, Address((1, 2), AddressScheme.BCUBE_DIGITS), "h0"),
+    Link(0, 1, 2.0, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(r, f) for r in RECORDS for f in r._fields],
+    ids=[f"{type(r).__name__}.{f}" for r in RECORDS for f in r._fields],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_record_defaults():
+    link = Link(0, 1)
+    assert link.capacity == 1.0 and link.latency == 10
+    node = Node(0, NodeKind.SWITCH, 4)
+    assert node.address == Address() and node.address.digits == ()
+    assert node.address.scheme is AddressScheme.FLAT
+    assert node.label == "" and not node.is_host
 
 
 def test_fat_tree_k4_validates_clean():
@@ -118,11 +146,28 @@ def test_export_fat_tree_k2_line_counts():
     assert len([l for l in lines if l.startswith("link")]) == 6
 
 
-def test_round_trip_identity_dcell():
-    topo = build_dcell(4, 1)
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_round_trip_keeps_structure(name):
+    topo = build_preset(name)
     text = export_edge_list(topo)
-    again = export_edge_list(import_edge_list(text))
-    assert again == text
+    again = import_edge_list(text)
+    assert export_edge_list(again) == text
+    assert [(n.id, n.kind, n.radix, n.address.digits) for n in again.nodes] == [
+        (n.id, n.kind, n.radix, n.address.digits) for n in topo.nodes
+    ]
+    assert again.links == topo.links  # endpoints, capacity and latency, in order
+    # what the format does not carry
+    assert [n.label for n in again.nodes] == [f"n{i}" for i in range(topo.num_nodes)]
+    assert {n.address.scheme for n in again.nodes} == {AddressScheme.FLAT}
+    assert again.taxonomy is None
+    assert again.builder_params == {"builder": "imported"}
+
+
+def test_round_trip_loses_the_fat_tree_router():
+    again = import_edge_list(export_edge_list(build_fat_tree(4)))
+    assert resolve_routing_mode(again, "auto") == "ecmp"
+    with pytest.raises(TopologyError):
+        route_provider(again, "fat-tree")
 
 
 def test_round_trip_preserves_capacity_format():

@@ -45,10 +45,10 @@ from dcnbench.metrics import (
 from hand_topologies import HAND_BUILT, bfs_distances, isolated_switch, isolated_twins
 
 
-def star(num_hosts):
+def star(num_hosts, capacity=1.0):
     nodes = [Node(i, NodeKind.HOST, 1) for i in range(num_hosts)]
     nodes.append(Node(num_hosts, NodeKind.SWITCH, num_hosts))
-    return Topology(nodes, [Link(i, num_hosts) for i in range(num_hosts)])
+    return Topology(nodes, [Link(i, num_hosts, capacity) for i in range(num_hosts)])
 
 
 def dumbbell(hosts_per_side):
@@ -365,6 +365,28 @@ def test_max_flow_resumes_after_opening_arcs(name):
             fresh.cap[fresh_arcs[h][side]] = INF
         side_a = {h for h, side in sides.items() if side}
         assert total == fresh.max_flow(n, n + 1) == reference_cut(topo, side_a)
+
+
+@pytest.mark.parametrize("capacity", [1e-12, 1e-13])
+def test_tiny_capacities_still_connect(capacity):
+    # an absolute residual threshold of 1e-12 read these links as absent,
+    # so both bisections gave 0 and compute_metrics raised
+    topo = star(2, capacity)
+    assert bisection_bandwidth_exact(topo) == capacity
+    assert bisection_bandwidth_heuristic(topo) == capacity
+    report = compute_metrics(topo)
+    assert report.bisection_bandwidth == capacity
+    assert report.oversubscription == 1.0
+
+
+@pytest.mark.parametrize("name", ["dcell-n4-l1", "dcell-n6-l1", "facebook-scaled"])
+def test_heuristic_scales_with_capacities(name):
+    # a power-of-two scale keeps every sum exact, so refinement and max-flow
+    # make the same moves at 2**-45 as at 1 when their thresholds scale too
+    topo = build_preset(name)
+    scale = 2.0**-45
+    tiny = Topology(topo.nodes, [link._replace(capacity=link.capacity * scale) for link in topo.links])
+    assert bisection_bandwidth_heuristic(tiny) == bisection_bandwidth_heuristic(topo) * scale
 
 
 def test_heuristic_closes_jellyfish_gap():
