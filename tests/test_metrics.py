@@ -339,6 +339,82 @@ def test_switch_swaps_cut_max_flow_calls(monkeypatch, name, unpruned_calls, fact
     assert calls <= unpruned_calls / factor
 
 
+# (exact value, max-flow calls) per case. A change that prunes more of the
+# search lowers the calls; it updates this table and says why.
+EXACT_SEARCH_PINS = {
+    "bcube-n4-k1@0": (8.0, 229),
+    "bcube-n4-k1@1": (8.0, 229),
+    "bcube-n4-k1@2": (8.0, 229),
+    "bcube-n4-k1@3": (8.0, 229),
+    "bcube-n4-k1@4": (8.0, 229),
+    "bcube_n2_k3": (8.0, 209),
+    "capacity_twins": (4.0, 4),
+    "dcell_n3_l1": (3.0, 95),
+    "duplicate_host_links": (2.0, 3),
+    "f10-k4@0": (8.0, 508),
+    "f10-k4@1": (8.0, 508),
+    "f10-k4@2": (8.0, 508),
+    "f10-k4@3": (8.0, 508),
+    "f10-k4@4": (8.0, 508),
+    "fat-tree-k4-paper@0": (4.0, 68),
+    "fat-tree-k4-paper@1": (4.0, 68),
+    "fat-tree-k4-paper@2": (4.0, 68),
+    "fat-tree-k4-paper@3": (4.0, 68),
+    "fat-tree-k4-paper@4": (4.0, 68),
+    "fat-tree-k4@0": (8.0, 508),
+    "fat-tree-k4@1": (8.0, 508),
+    "fat-tree-k4@2": (8.0, 508),
+    "fat-tree-k4@3": (8.0, 508),
+    "fat-tree-k4@4": (8.0, 508),
+    "isolated_twins": (0.0, 3),
+    "jellyfish-s10-p4-r3@0": (5.0, 461),
+    "jellyfish-s10-p4-r3@1": (5.0, 461),
+    "jellyfish-s10-p4-r3@2": (3.0, 393),
+    "jellyfish-s10-p4-r3@3": (5.0, 461),
+    "jellyfish-s10-p4-r3@4": (3.0, 250),
+    "jellyfish-s10-p4-r3@5": (5.0, 461),
+    "jellyfish-s10-p4-r3@6": (3.0, 135),
+    "jellyfish-s10-p4-r3@7": (5.0, 461),
+    "jellyfish-s10-p4-r3@8": (5.0, 461),
+    "jellyfish-s10-p4-r3@9": (5.0, 461),
+    "jellyfish-s8-p4-r2@0": (2.0, 49),
+    "jellyfish-s8-p4-r2@1": (2.0, 190),
+    "jellyfish-s8-p4-r2@2": (2.0, 68),
+    "jellyfish-s8-p4-r2@3": (2.0, 124),
+    "jellyfish-s8-p4-r2@4": (2.0, 40),
+    "jellyfish-s8-p4-r2@5": (2.0, 85),
+    "jellyfish-s8-p4-r2@6": (2.0, 136),
+    "jellyfish-s8-p4-r2@7": (2.0, 74),
+    "jellyfish-s8-p4-r2@8": (2.0, 68),
+    "jellyfish-s8-p4-r2@9": (2.0, 67),
+    "mdcube_2x2_n2_k1": (2.0, 23),
+    "multihomed_twins": (2.0, 10),
+    "odd_dumbbell": (1.0, 6),
+    "self_loop_pair": (1.0, 6),
+    "star5": (2.0, 1),
+    "unswappable_switches": (1.0, 14),
+}
+
+
+def test_exact_search_pins_cover_every_case():
+    assert sorted(EXACT_SEARCH_PINS) == sorted(BISECTION_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SEARCH_PINS))
+def test_exact_search_value_and_max_flow_calls(monkeypatch, name):
+    calls = 0
+    max_flow = MaxFlow.max_flow
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return max_flow(self, *args, **kwargs)
+
+    monkeypatch.setattr(MaxFlow, "max_flow", counted)
+    value = bisection_bandwidth_exact(BISECTION_CASES[name][0]())
+    assert (value, calls) == EXACT_SEARCH_PINS[name]
+
+
 RESUME_CASES = {name: build for name, (build, seed) in BISECTION_CASES.items() if seed == 0}
 RESUME_CASES["isolated_switch"] = isolated_switch
 
