@@ -106,8 +106,10 @@ class Topology:
     """Immutable graph of hosts and switches with capacitated links.
 
     ``nodes`` and ``links`` are tuples of the named-tuple records
-    :class:`Node` and :class:`Link`. ``adjacency[v]`` lists ``(neighbor,
-    link_index)`` pairs in link insertion order. A node whose ``id`` is not
+    :class:`Node` and :class:`Link`. ``adjacency[v]`` lists one ``(neighbor,
+    capacity)`` pair per end of a link at ``v``, in link order, so a
+    self-loop appears twice and parallel links once each; it is the one
+    capacitated adjacency that metrics read. A node whose ``id`` is not
     its position in ``nodes``, or a link whose endpoint is not a node id,
     raises :class:`TopologyError`.
     Construction is single-threaded; once built, a topology is safe to
@@ -128,15 +130,15 @@ class Topology:
         self.links: tuple[Link, ...] = tuple(links)
         self.taxonomy = taxonomy
         self.builder_params: dict = dict(builder_params or {})
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
-        for idx, (a, b, _, _) in enumerate(self.links):
+        adj: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+        for idx, (a, b, capacity, _) in enumerate(self.links):
             if not (0 <= a < len(adj) and 0 <= b < len(adj)):
                 raise TopologyError(
                     f"link {idx} ({a}-{b}) has an endpoint outside node ids 0..{len(adj) - 1}"
                 )
-            adj[a].append((b, idx))
-            adj[b].append((a, idx))
-        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            adj[a].append((b, capacity))
+            adj[b].append((a, capacity))
+        self.adjacency: tuple[tuple[tuple[int, float], ...], ...] = tuple(
             tuple(entries) for entries in adj
         )
 
@@ -404,13 +406,9 @@ def host_twin_classes(topology: Topology) -> list[tuple[tuple[int, ...], list[in
     never adjacent, and swapping them maps the capacitated graph onto
     itself, so exact bisection counts hosts per class instead of choosing them.
     """
-    links = topology.links
     classes: dict = {}
     for h in topology.hosts:
         nbrs = topology.neighbors[h]
-        if h in nbrs:
-            key = h
-        else:
-            key = tuple(sorted((nb, links[i].capacity) for nb, i in topology.adjacency[h]))
+        key = h if h in nbrs else tuple(sorted(topology.adjacency[h]))
         classes.setdefault(key, (nbrs, []))[1].append(h)
     return list(classes.values())

@@ -224,17 +224,15 @@ def _switch_swaps(
     size. Swaps that move no host, and repeats of one class permutation,
     are dropped.
     """
-    links, adjacency = topology.links, topology.adjacency
-    attachments = {
-        h: tuple(sorted((nb, links[i].capacity) for nb, i in adjacency[h])) for h in topology.hosts
-    }
+    adjacency = topology.adjacency
+    attachments = {h: tuple(sorted(adjacency[h])) for h in topology.hosts}
     by_key: dict = {}
     for w in topology.switches:
         fabric = []
         attached: dict[int, tuple] = {}
-        for nb, i in adjacency[w]:
+        for nb, cap in adjacency[w]:
             if nb not in attachments:
-                fabric.append((nb, links[i].capacity))
+                fabric.append((nb, cap))
             elif nb not in attached:
                 own = attachments[nb]
                 lo, hi = bisect_left(own, (w,)), bisect_left(own, (w + 1,))
@@ -254,8 +252,7 @@ def _switch_swaps(
             if len(sigma) != 2 + 2 * len(hosts_of[u]):
                 continue  # a host of both switches
             if any(
-                sorted((sigma.get(nb, nb), links[i].capacity) for nb, i in adjacency[x])
-                != sorted((nb, links[i].capacity) for nb, i in adjacency[y])
+                sorted((sigma.get(nb, nb), cap) for nb, cap in adjacency[x]) != sorted(adjacency[y])
                 for x, y in sigma.items()
             ):
                 continue
@@ -287,8 +284,11 @@ def bisection_bandwidth_exact(topology: Topology) -> float:
     of equal capacity; each permutes the twin classes and so maps a count
     vector to another with the same cut. The search drops a vector as soon as
     some such permutation maps its fixed prefix to a lexicographically
-    smaller one (lex-leader constraints, Crawford et al., KR 1996), checking
-    a permutation only once the classes its next pair compares are fixed.
+    smaller one (lex-leader constraints, Crawford et al., KR 1996). After
+    each count is fixed, it walks every permutation's pairs ``(a, b)`` in
+    order: a pair with ``b`` not yet fixed, or with fewer hosts of ``a`` on
+    side A than of ``b``, ends the walk, and a pair with more drops the count.
+    The test keeps no state between levels.
     The result stays exact: every vector in an orbit of the swaps and the
     complement has the same cut, and the lexicographically smallest vector
     of the orbit meets every such constraint and the complement rule. On
@@ -317,18 +317,23 @@ def bisection_bandwidth_exact(topology: Topology) -> float:
     s, t = topology.num_nodes, topology.num_nodes + 1
     classes = [members for _, members in host_twin_classes(topology)]
     room = list(itertools.accumulate(len(m) for m in reversed(classes)))[::-1] + [0]
-    # starts[b]: (pairs, 0) per class permutation whose first pair (a, b) waits for class b
-    starts: list[list[tuple[tuple[tuple[int, int], ...], int]]] = [[] for _ in classes]
-    for pairs in _switch_swaps(topology, classes):
-        starts[pairs[0][1]].append((pairs, 0))
+    swaps = _switch_swaps(topology, classes)
     counts = [0] * len(classes)
     best = INF
 
-    def search(i: int, left: int, tied: bool, flow: float, waiting: tuple) -> None:
+    def lex_leader(i: int) -> bool:
+        # no swap maps counts[:i+1] to a lexicographically smaller vector
+        for pairs in swaps:
+            for a, b in pairs:
+                if b > i or counts[a] < counts[b]:
+                    break
+                if counts[a] > counts[b]:
+                    return False
+        return True
+
+    def search(i: int, left: int, tied: bool, flow: float) -> None:
         # classes[:i] are fixed, with ``left`` hosts still due on side A;
-        # tied: counts[:i] equals its complement, so counts[i] may not exceed its own;
-        # waiting: (pairs, k) per class permutation g that maps counts[:i] onto
-        # itself so far; its next pair pairs[k] = (a, b) is decided once class b is fixed
+        # tied: counts[:i] equals its complement, so counts[i] may not exceed its own
         nonlocal best
         if i == len(classes):
             best = flow
@@ -336,32 +341,17 @@ def bisection_bandwidth_exact(topology: Topology) -> float:
         members = classes[i]
         n = len(members)
         fixed = list(solver.cap)
-        due, later = starts[i], waiting
-        if waiting:
-            due = due + [(pairs, k) for pairs, k in waiting if pairs[k][1] == i]
-            later = tuple((pairs, k) for pairs, k in waiting if pairs[k][1] != i)
         for c in range(max(0, left - room[i + 1]), min(n, left, n // 2 if tied else n) + 1):
             counts[i] = c
-            pending = later
-            for pairs, k in due:  # lex-leader: skip c if g maps counts[:i+1] lower
-                while (k < len(pairs) and pairs[k][1] <= i
-                       and counts[pairs[k][0]] == counts[pairs[k][1]]):
-                    k += 1
-                if k < len(pairs):  # else g maps counts onto itself
-                    a, b = pairs[k]
-                    if b > i:
-                        pending += ((pairs, k),)
-                    elif counts[a] > counts[b]:
-                        break
-            else:
+            if lex_leader(i):
                 solver.cap[:] = fixed
                 for j, h in enumerate(members):
                     solver.cap[arcs[h][j < c]] = INF
                 total = flow + solver.max_flow(s, t, best - flow)
                 if total < best:
-                    search(i + 1, left - c, tied and 2 * c == n, total, pending)
+                    search(i + 1, left - c, tied and 2 * c == n, total)
 
-    search(0, H // 2, H % 2 == 0, 0.0, ())
+    search(0, H // 2, H % 2 == 0, 0.0)
     return best
 
 
@@ -469,11 +459,7 @@ def bisection_bandwidth_heuristic(
     solver, arcs = _partition_cut_solver(topology)
     closed = list(solver.cap)
     n = topology.num_nodes
-    weighted: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for link in topology.links:
-        if link.a != link.b:
-            weighted[link.a].append((link.b, link.capacity))
-            weighted[link.b].append((link.a, link.capacity))
+    weighted = [[(nb, cap) for nb, cap in topology.adjacency[v] if nb != v] for v in range(n)]
     is_host = [node.is_host for node in topology.nodes]
     best = INF
     for restart in range(restarts):

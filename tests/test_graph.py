@@ -275,6 +275,17 @@ def test_neighbors_table_is_sorted_adjacency(name):
     )
 
 
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_adjacency_lists_other_end_and_capacity_per_link_end(name):
+    # a self-loop gives its node two entries, parallel links one each
+    topo = HAND_BUILT[name]()
+    expected = [[] for _ in topo.nodes]
+    for a, b, capacity, _ in topo.links:
+        expected[a].append((b, capacity))
+        expected[b].append((a, capacity))
+    assert topo.adjacency == tuple(tuple(entries) for entries in expected)
+
+
 def test_build_does_not_make_the_neighbors_table():
     # the table is built on first use, so builders and setups that read only
     # adjacency (component_count, fat_tree_router) never pay for it
