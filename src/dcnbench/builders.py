@@ -283,10 +283,14 @@ def build_facebook_fabric(
         raise TopologyError("facebook fabric requires positive switch/plane counts")
     if hosts_per_edge < 0:
         raise TopologyError(f"hosts_per_edge must be >= 0, got {hosts_per_edge}")
-    if not host_link_capacity > 0:  # NaN fails every comparison
-        raise TopologyError(f"host_link_capacity must be > 0, got {host_link_capacity}")
-    if not fabric_link_capacity > 0:
-        raise TopologyError(f"fabric_link_capacity must be > 0, got {fabric_link_capacity}")
+    if not 0 < host_link_capacity < float("inf"):  # NaN fails every comparison
+        raise TopologyError(
+            f"host_link_capacity must be a finite number > 0, got {host_link_capacity}"
+        )
+    if not 0 < fabric_link_capacity < float("inf"):
+        raise TopologyError(
+            f"fabric_link_capacity must be a finite number > 0, got {fabric_link_capacity}"
+        )
     num_hosts = edge_switches * hosts_per_edge
     num_switches = edge_switches + planes * agg_switches
     _check_cap(num_hosts + num_switches, "facebook_fabric")

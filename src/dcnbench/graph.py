@@ -21,6 +21,7 @@ field by field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -206,11 +207,13 @@ def validate(topology: Topology) -> list[str]:
 
     Violations are data, not failures: an empty list means the topology is
     well-formed. Checks: radix exceeded, duplicate links, self loops,
+    capacities that are not finite and positive, latency below one cycle,
     disconnected components, and per-scheme address length consistency.
     """
     violations = []
-    for node in topology.nodes:
-        deg = topology.degree(node.id)
+    adjacency = topology.adjacency
+    for node in topology.nodes:  # two field reads beat unpacking all five
+        deg = len(adjacency[node.id])
         if deg > node.radix:
             violations.append(
                 f"radix exceeded: node {node.id} has degree {deg} > radix {node.radix}"
@@ -226,6 +229,8 @@ def validate(topology: Topology) -> list[str]:
         seen_pairs.add(pair)
         if not capacity > 0:  # NaN fails every comparison
             violations.append(f"non-positive capacity on link {idx}")
+        elif capacity == math.inf:
+            violations.append(f"infinite capacity on link {idx}")
         if not latency >= 1:
             violations.append(f"latency < 1 on link {idx}")
     count = component_count(topology)

@@ -197,12 +197,15 @@ def _partition_cut_solver(topology: Topology) -> tuple[MaxFlow, dict[int, tuple[
     """The links as a max-flow network from a source ``n`` to a sink
     ``n + 1`` (``n`` nodes), and per host its two closed arcs, indexed by
     side: opening ``arcs[h][1]`` from the source puts host ``h`` on side A,
-    opening ``arcs[h][0]`` to the sink puts it on side B.
+    opening ``arcs[h][0]`` to the sink puts it on side B. A link of
+    infinite capacity raises :class:`TopologyError`: no cut could cross it.
     """
     n = topology.num_nodes
     solver = MaxFlow(n + 2)
-    for link in topology.links:
-        solver.add_edge(link.a, link.b, link.capacity, link.capacity)
+    for idx, (a, b, capacity, _) in enumerate(topology.links):
+        if capacity == INF:
+            raise TopologyError(f"link {idx} ({a}-{b}) has infinite capacity")
+        solver.add_edge(a, b, capacity, capacity)
     arcs = {h: (solver.add_edge(h, n + 1, 0.0), solver.add_edge(n, h, 0.0)) for h in topology.hosts}
     return solver, arcs
 

@@ -628,6 +628,11 @@ def test_bad_parameters_rejected(builder, args):
         (build_facebook_fabric, (4, 2), {"host_link_capacity": 0}, "host_link_capacity"),
         (build_facebook_fabric, (4, 2), {"fabric_link_capacity": math.nan}, "fabric_link_capacity"),
         (build_facebook_fabric, (4, 2), {"hosts_per_edge": -1}, "hosts_per_edge"),
+        # an infinite capacity once built and validated clean
+        (build_facebook_fabric, (4, 2, 1, 1), {"host_link_capacity": math.inf},
+         "host_link_capacity"),
+        (build_facebook_fabric, (4, 2, 1, 1), {"fabric_link_capacity": math.inf},
+         "fabric_link_capacity"),
     ],
 )
 def test_bad_parameter_is_named(builder, args, kwargs, name):

@@ -17,7 +17,6 @@ from dcnbench.graph import (
     validate,
 )
 from dcnbench.builders import PRESETS, build_dcell, build_fat_tree, build_jellyfish, build_preset
-from dcnbench.metrics import bisection_bandwidth_exact
 from dcnbench.routing import resolve_routing_mode, route_provider
 
 from hand_topologies import (
@@ -89,6 +88,17 @@ def test_self_loop_and_duplicate_reported():
     report = validate(Topology(nodes, [Link(0, 1), Link(1, 0), Link(0, 0)]))
     assert any("duplicate link" in v for v in report)
     assert any("self-loop" in v for v in report)
+
+
+@pytest.mark.parametrize("capacities, report", [
+    ((float("inf"), 1.0), ["infinite capacity on link 0"]),
+    ((float("inf"), float("inf")), ["infinite capacity on link 0", "infinite capacity on link 1"]),
+    ((float("-inf"), 1.0), ["non-positive capacity on link 0"]),
+], ids=["one-infinite", "both-infinite", "minus-infinite"])
+def test_infinite_capacity_reported(capacities, report):
+    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1), Node(2, NodeKind.SWITCH, 2)]
+    links = [Link(h, 2, capacity) for h, capacity in enumerate(capacities)]
+    assert validate(Topology(nodes, links)) == report
 
 
 def test_disconnected_reported():
@@ -221,11 +231,12 @@ def test_import_rejects_nan_capacity():
     assert err.value.violations == ["non-positive capacity on link 0"]
 
 
-def test_import_accepts_infinite_capacity():
+def test_import_rejects_infinite_capacity():
+    # an infinite capacity once passed, and oversubscription then read inf
     text = export_edge_list(star(2)).replace("link 0 2 1 10", "link 0 2 inf 10")
-    topo = import_edge_list(text)
-    assert topo.links[0].capacity == float("inf")
-    assert bisection_bandwidth_exact(topo) == 1.0
+    with pytest.raises(ValidationError) as err:
+        import_edge_list(text)
+    assert err.value.violations == ["infinite capacity on link 0"]
 
 
 def test_import_unknown_keyword():

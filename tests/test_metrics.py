@@ -455,6 +455,17 @@ def test_tiny_capacities_still_connect(capacity):
     assert report.oversubscription == 1.0
 
 
+@pytest.mark.parametrize("capacities", [(INF, 1.0), (INF, INF)], ids=["one", "both"])
+def test_infinite_capacity_fails_every_bisection(capacities):
+    # one infinite link once gave oversubscription inf, and two made
+    # compute_metrics blame a bisection that the caller never supplied
+    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1), Node(2, NodeKind.SWITCH, 2)]
+    topo = Topology(nodes, [Link(h, 2, capacity) for h, capacity in enumerate(capacities)])
+    for call in (bisection_bandwidth_exact, bisection_bandwidth_heuristic, compute_metrics):
+        with pytest.raises(TopologyError, match=r"^link 0 \(0-2\) has infinite capacity$"):
+            call(topo)
+
+
 @pytest.mark.parametrize("name", ["dcell-n4-l1", "dcell-n6-l1", "facebook-scaled"])
 def test_heuristic_scales_with_capacities(name):
     # a power-of-two scale keeps every sum exact, so refinement and max-flow
