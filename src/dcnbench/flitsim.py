@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Optional
 
+from .builders import _check_sizes
 from .graph import Topology, TopologyError
 from .routing import resolve_routing_mode, route_provider
 from .traffic import PatternKind, TrafficPattern, pattern_destination
@@ -54,6 +55,13 @@ class SimConfig:
         return self.sim_cycles // 10
 
     def check(self) -> None:
+        counts = dict(
+            sim_cycles=self.sim_cycles, vcs_per_port=self.vcs_per_port, vc_depth=self.vc_depth,
+            router_pipeline=self.router_pipeline, link_latency=self.link_latency,
+        )
+        if self.warmup_cycles is not None:
+            counts["warmup_cycles"] = self.warmup_cycles
+        _check_sizes(**counts)
         if not 0 < self.injection_rate <= 1:
             raise TopologyError("injection_rate must be in (0, 1]")
         if self.sim_cycles <= 0 or not 0 <= self.resolved_warmup() < self.sim_cycles:

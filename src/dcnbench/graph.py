@@ -9,7 +9,9 @@ patterns and bisection splits work on indices into :attr:`Topology.hosts`.
 Every shortest-path question goes through one search,
 :func:`multi_source_bfs`, over the sorted ``neighbors`` table, and every
 shortcut over interchangeable hosts through one twin rule,
-:func:`host_twin_classes`.
+:func:`host_twin_classes`. The all-hosts sweeps run on its quotient,
+:func:`host_twin_quotient`, which keeps one host per twin class: on fat
+tree k=16 that drops 7 of every 8 hosts.
 
 The records :class:`Address`, :class:`Node` and :class:`Link` are named
 tuples. Their fields are read by name and cannot be assigned. A build makes
@@ -371,7 +373,8 @@ def multi_source_bfs(
     and the one ECMP build (``dcnbench.routing._ecmp_rows``, which both
     :func:`dcnbench.routing.ecmp_router` and
     :func:`dcnbench.routing.compute_ecmp_tables` read) start it from one host
-    per twin class and read the pair sum and next-hop masks off its levels;
+    per twin class with the other twins blocked (:func:`host_twin_quotient`),
+    and read the pair sum and next-hop masks off its levels;
     :func:`dcnbench.routing.shortest_route_avoiding` runs it from one
     destination with the forbidden nodes blocked.
     """
@@ -406,10 +409,12 @@ def host_twin_classes(topology: Topology) -> list[tuple[tuple[int, ...], list[in
 
     Twins are at distance 2 from each other (when they have neighbours) and
     at the same distance from every other node, so one BFS serves the whole
-    class. A host linked to itself is never a twin: its neighbour list holds
-    itself, so the argument above fails. Two members of one class are thus
-    never adjacent, and swapping them maps the capacitated graph onto
-    itself, so exact bisection counts hosts per class instead of choosing them.
+    class, and the all-hosts sweeps leave every twin but the first out
+    (:func:`host_twin_quotient`). A host linked to itself is never a twin:
+    its neighbour list holds itself, so the argument above fails. Two
+    members of one class are thus never adjacent, and swapping them maps
+    the capacitated graph onto itself, so exact bisection counts hosts per
+    class instead of choosing them.
     """
     classes: dict = {}
     for h in topology.hosts:
@@ -417,3 +422,33 @@ def host_twin_classes(topology: Topology) -> list[tuple[tuple[int, ...], list[in
         key = h if h in nbrs else tuple(sorted(topology.adjacency[h]))
         classes.setdefault(key, (nbrs, []))[1].append(h)
     return list(classes.values())
+
+
+def host_twin_quotient(
+    topology: Topology,
+) -> tuple[list[tuple[tuple[int, ...], list[int]]], dict[int, int]]:
+    """:func:`host_twin_classes`, and each twin that is not its class's
+    first member (the representative) mapped to its class index: the nodes
+    a sweep from the representatives passes to :func:`multi_source_bfs` as
+    ``blocked``, so it runs on the quotient graph that keeps one host per
+    class.
+
+    Leaving those twins out changes no distance among the nodes kept: a
+    representative has the same neighbour list, with multiplicity, as every
+    twin it stands for, so a shortest path through a twin can run through
+    the representative instead. A twin's distances are then its
+    representative's, except 2 to the other members of its class, and its
+    next hops are its representative's. A class of two or more members with
+    no neighbours raises :class:`TopologyError`, since its members reach no
+    one; the quotient keeps only one of them, and would pass as connected.
+    """
+    classes = host_twin_classes(topology)
+    twins = {}
+    for c, (nbrs, members) in enumerate(classes):
+        if len(members) > 1 and not nbrs:
+            raise TopologyError(
+                f"topology is disconnected: hosts {members[0]} and {members[1]} have no links"
+            )
+        for h in members[1:]:
+            twins[h] = c
+    return classes, twins

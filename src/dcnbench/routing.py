@@ -7,8 +7,9 @@ Every routing mode is one router factory of one shape,
 ``(topology) -> (src, dst, rng) -> Route``: :func:`ecmp_router`,
 :func:`fat_tree_router`, :func:`dcell_router` and :func:`bcube_router`. A
 factory checks its topology and computes once what a lookup reads (for
-ECMP, next hops per node and host twin class, about 2 MB on fat tree k=16,
-which :func:`compute_ecmp_tables` also serves as per-node tables); the
+ECMP, next hops per host twin class for each node of the twin quotient,
+a twin sharing its class's first member's: 0.7 MB on fat tree k=16, and
+:func:`compute_ecmp_tables` serves them as per-node tables too); the
 callable it returns only indexes those or does integer arithmetic on the
 addresses.
 :func:`route_provider` picks the factory. Every lookup raises
@@ -28,7 +29,7 @@ from .graph import (
     Topology,
     TopologyError,
     check_node_ids,
-    host_twin_classes,
+    host_twin_quotient,
     multi_source_bfs,
 )
 
@@ -64,21 +65,28 @@ def _ecmp_rows(topology: Topology) -> tuple[dict[int, tuple[int, int]], list[lis
     representative; the representative's own slot holds the class's
     neighbours.
 
-    One :func:`multi_source_bfs` sweep starts from the representatives. A
-    neighbour ``nb`` of ``v`` is a next hop towards class ``c`` when ``v``
-    gains bit ``c`` at level ``d`` and ``nb`` at ``d - 1``. Splitting the
-    full class mask by these per-neighbour masks, in ascending neighbour
-    order with link multiplicity, gives the node's few distinct tuples: the
-    largest group fills the row and the others overwrite their slots. A
+    One :func:`multi_source_bfs` sweep starts from the representatives, on
+    the twin quotient (:func:`host_twin_quotient`: every other twin is
+    blocked). A neighbour ``nb`` of a node ``v`` the sweep keeps is a next
+    hop towards class ``c`` when ``v`` gains bit ``c`` at level ``d`` and
+    ``nb`` at ``d - 1``. A blocked twin ``nb`` of class ``k`` takes its
+    representative's mask with bit ``k`` cleared: it is 2 from that
+    representative and as far as the representative from every other, so
+    twins that forward traffic stay next hops. Splitting the full class
+    mask by these per-neighbour masks, in ascending neighbour order with
+    link multiplicity, gives the node's few distinct tuples: the largest
+    group fills the row and the others overwrite their slots. A twin shares
+    its representative's row object, which is its own row too. A
     disconnected topology raises :class:`TopologyError`.
     """
-    classes = host_twin_classes(topology)
+    classes, twins = host_twin_quotient(topology)
+    reps = [members[0] for _, members in classes]
     num_nodes = topology.num_nodes
     neighbours = topology.neighbors
-    closer: list[dict[int, int]] = [{} for _ in range(num_nodes)]
+    closer: dict[int, dict[int, int]] = {v: {} for v in range(num_nodes) if v not in twins}
     swept = 0
     previous: dict[int, int] = {}
-    for gained in multi_source_bfs(topology, [members[0] for _, members in classes]):
+    for gained in multi_source_bfs(topology, reps, twins):
         was = previous.get
         for v, bits in gained.items():
             swept += bits.bit_count()
@@ -88,10 +96,15 @@ def _ecmp_rows(topology: Topology) -> tuple[dict[int, tuple[int, int]], list[lis
                 if step:
                     masks[nb] = masks.get(nb, 0) | step
         previous = gained
-    if swept != num_nodes * len(classes):  # each node gains each bit at most once
+    if swept != len(closer) * len(classes):  # each kept node gains each bit at most once
         raise TopologyError("topology is disconnected")
-    rows = []
-    for v, masks in enumerate(closer):
+    for t, k in twins.items():
+        for v in neighbours[t]:  # each also a neighbour of reps[k]
+            masks = closer.get(v)
+            if masks is not None:  # None: v is a twin too, and copies its row
+                masks[t] = masks[reps[k]] & ~(1 << k)
+    rows: list = [None] * num_nodes
+    for v, masks in closer.items():
         groups = [((1 << len(classes)) - 1, ())]
         for nb in neighbours[v]:
             step = masks.get(nb)
@@ -113,9 +126,11 @@ def _ecmp_rows(topology: Topology) -> tuple[dict[int, tuple[int, int]], list[lis
                 low = mask & -mask
                 row[low.bit_length() - 1] = hops
                 mask ^= low
-        rows.append(row)
+        rows[v] = row
     for c, (nbrs, members) in enumerate(classes):
         rows[members[0]][c] = nbrs
+    for t, k in twins.items():
+        rows[t] = rows[reps[k]]
     class_of = {h: (c, members[0]) for c, (_, members) in enumerate(classes) for h in members}
     return class_of, rows
 
@@ -151,8 +166,9 @@ class _EcmpTable(Mapping):
 def compute_ecmp_tables(topology: Topology) -> list[Mapping[int, tuple[int, ...]]]:
     """Per node, a read-only map destination host -> sorted tuple of
     equal-cost next hops: a view over the node's :func:`_ecmp_rows` row, so
-    memory grows with twin classes, not hosts (a 2.5 MB peak on fat tree
-    k=16, where one dict entry per (node, host) took 56 MB)."""
+    memory grows with twin classes and the nodes of the twin quotient, not
+    with hosts (a 1.0 MB peak on fat tree k=16, where one row per node
+    peaked at 2.3 MB and one dict entry per (node, host) took 56 MB)."""
     class_of, rows = _ecmp_rows(topology)
     return [_EcmpTable(v, row, topology.hosts, class_of) for v, row in enumerate(rows)]
 
@@ -165,8 +181,9 @@ def ecmp_router(topology: Topology) -> Router:
     steps onto ``dst`` where the walk reaches its class's representative
     (the rule of :class:`_EcmpTable`), so routes and ``rng.randrange(n)``
     draws (``n > 1`` only) are those of a :func:`compute_ecmp_tables` walk.
-    The build takes about 20 ms on Jellyfish(200,12,8) (traced perfbench
-    ``routes`` run, seed 1, reference speed) and the rows hold 2 MB.
+    The build takes about 16 ms on Jellyfish(200,12,8) (traced perfbench
+    ``routes`` run, seed 1, reference speed), and the router keeps 1.7 MB
+    there and 0.7 MB on fat tree k=16.
     """
     class_of, rows = _ecmp_rows(topology)
 
@@ -203,6 +220,9 @@ def fat_tree_router(topology: Topology) -> Router:
     host's edge switch; per switch, its aggregation neighbours (sorted with
     link multiplicity, and as a set) and its core neighbours (sorted); per
     ``(core, pod)``, the one aggregation switch the core reaches in that pod.
+    A host gets empty placeholders in the per-switch tables, which no lookup
+    reads, so the pass sorts nothing for the hosts (1,024 of the 1,344 nodes
+    on fat tree k=16).
     A lookup draws ``rng.randrange(n)`` once per choice, ``n == 1`` included.
     Raises :class:`TopologyError` here if a node lacks a fat-tree address or
     a host has no link, and at lookup time if the descent is not unique.
@@ -225,10 +245,14 @@ def fat_tree_router(topology: Topology) -> Router:
     cores: list[tuple[int, ...]] = []
     down: dict[tuple[int, int], Optional[int]] = {}
     for v, entries in enumerate(adjacency):
-        if is_host[v]:
+        if is_host[v]:  # a lookup reads only its edge switch
             if not entries:
                 raise TopologyError(f"host {v} has no link")
             edge_of[v] = entries[0][0]
+            aggs.append(())
+            agg_set.append(frozenset())
+            cores.append(())
+            continue
         up = sorted(nb for nb, _ in entries if layer[nb] == 2)
         aggs.append(tuple(up))
         agg_set.append(frozenset(up))
@@ -481,9 +505,10 @@ def route_provider(topology: Topology, mode: str = "auto") -> Router:
     :class:`TopologyError` here rather than at the first lookup.
     Costs, from perfbench's traced ``routes`` run (seed 1, scaled to its
     reference speed): "fat-tree" builds its tables in one pass over the
-    links (about 2 ms on fat tree k=16), "ecmp" builds its class rows (about
-    20 ms on Jellyfish(200,12,8)), and "dcell" and "bcube" only read their
-    builder parameters. A lookup takes about 1 us on each of these.
+    links (about 1.4 ms on fat tree k=16), "ecmp" builds its class rows
+    over the twin quotient (about 16 ms on Jellyfish(200,12,8)), and
+    "dcell" and "bcube" only read their builder parameters. A lookup takes
+    about 1 us on each of these.
     """
     mode = resolve_routing_mode(topology, mode)
     factory = ROUTERS.get(mode)

@@ -67,10 +67,23 @@ def capacity_twins():
     return Topology(nodes, [Link(h, 4, cap) for h, cap in enumerate((3.0, 2.0, 2.0, 3.0))])
 
 
+def twins_of_twins():
+    """Hosts 0 and 1 share hosts 2 and 3 and switch 4; hosts 2 and 3 share
+    hosts 0 and 1. Each class's twin (1 and 3) is linked to the other
+    class's twin, so the twin quotient drops both ends of link 1-3."""
+    return _topology(4, 1, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 4)])
+
+
 def isolated_twins():
     """Hosts 0 and 1 have no links (twins with no neighbours); hosts 2 and
     3 share switch 4."""
     return _topology(4, 1, [(2, 4), (3, 4)])
+
+
+def linkless_twins():
+    """Hosts 0 and 1 and nothing else: a twin class with no neighbours.
+    The twin quotient keeps only host 0, which alone looks connected."""
+    return _topology(2, 0, [])
 
 
 def isolated_switch():

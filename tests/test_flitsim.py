@@ -256,6 +256,18 @@ def test_pipeline_and_link_need_a_cycle(field, value):
         run_simulation(build_fat_tree(2), config=config)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sim_cycles", True), ("sim_cycles", 100.5), ("warmup_cycles", 10.0),
+    ("vcs_per_port", 2.5), ("vc_depth", 2.0), ("router_pipeline", 2.5), ("link_latency", True),
+])
+def test_counts_must_be_integers(field, value):
+    # router_pipeline=2.5 once ran and received nothing, sim_cycles=True ran
+    # one cycle, and sim_cycles=100.5 raised a bare TypeError from range()
+    config = SimConfig(injection_rate=0.1, **{"sim_cycles": 400, field: value})
+    with pytest.raises(TopologyError, match=f"^{field} must be an integer, got {value!r}$"):
+        run_simulation(build_fat_tree(2), config=config)
+
+
 def test_parallel_links_rejected():
     # a channel is found by its end nodes, so the second of two parallel
     # links used to carry all their traffic and the first none

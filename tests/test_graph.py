@@ -12,11 +12,20 @@ from dcnbench.graph import (
     ValidationError,
     component_count,
     export_edge_list,
+    host_twin_classes,
+    host_twin_quotient,
     import_edge_list,
     multi_source_bfs,
     validate,
 )
-from dcnbench.builders import PRESETS, build_dcell, build_fat_tree, build_jellyfish, build_preset
+from dcnbench.builders import (
+    PRESETS,
+    build_dcell,
+    build_facebook_fabric,
+    build_fat_tree,
+    build_jellyfish,
+    build_preset,
+)
 from dcnbench.routing import resolve_routing_mode, route_provider
 
 from hand_topologies import (
@@ -25,6 +34,8 @@ from hand_topologies import (
     duplicate_host_links,
     isolated_switch,
     isolated_twins,
+    linkless_twins,
+    twins_of_twins,
 )
 
 
@@ -252,10 +263,10 @@ def line(num_nodes):
     return Topology(nodes, [Link(i, i + 1) for i in range(num_nodes - 1)])
 
 
-def sweep_distances(topology, sources):
+def sweep_distances(topology, sources, blocked=()):
     """Per-source distance rows read off the sweep's levels; -1 if never reached."""
     rows = [[-1] * topology.num_nodes for _ in sources]
-    for d, gained in enumerate(multi_source_bfs(topology, sources)):
+    for d, gained in enumerate(multi_source_bfs(topology, sources, blocked)):
         assert gained  # the sweep stops after the last level that gains a bit
         for v, bits in gained.items():
             assert bits
@@ -295,6 +306,49 @@ def test_adjacency_lists_other_end_and_capacity_per_link_end(name):
         expected[a].append((b, capacity))
         expected[b].append((a, capacity))
     assert topo.adjacency == tuple(tuple(entries) for entries in expected)
+
+
+QUOTIENT_CASES = {
+    **HAND_BUILT,
+    "fat-tree-k4-h3": lambda: build_fat_tree(4, hosts_per_edge=3),
+    "facebook-8-2-3-2": lambda: build_facebook_fabric(8, 2, 3, 2),
+    "jellyfish-s20-p6-r4": lambda: build_jellyfish(20, 6, 4, seed=3),
+    "dcell-n3-l1": lambda: build_dcell(3, 1),
+    "isolated_switch": isolated_switch,
+    "twins_of_twins": twins_of_twins,
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_twin_quotient_keeps_every_distance(name):
+    # blocking every twin but the first leaves the distances between the
+    # nodes kept as they are; a twin is its representative's distance from
+    # every node but the other members of its class, which are 2 away
+    topo = QUOTIENT_CASES[name]()
+    classes, twins = host_twin_quotient(topo)
+    assert classes == host_twin_classes(topo)
+    assert twins == {h: c for c, (_, members) in enumerate(classes) for h in members[1:]}
+    kept = [v for v in range(topo.num_nodes) if v not in twins]
+    for s, row in zip(kept, sweep_distances(topo, kept, twins)):
+        full = bfs_distances(topo, s)
+        assert [row[v] for v in kept] == [full[v] for v in kept]
+    for c, (_, members) in enumerate(classes):
+        expected = [2 if v in members else d for v, d in enumerate(bfs_distances(topo, members[0]))]
+        for t in members[1:]:
+            assert bfs_distances(topo, t) == expected[:t] + [0] + expected[t + 1:]
+
+
+def test_twin_quotient_drops_seven_of_eight_fat_tree_hosts():
+    topo = build_fat_tree(16)
+    classes, twins = host_twin_quotient(topo)
+    assert (len(classes), len(twins)) == (128, 896)
+
+
+@pytest.mark.parametrize("build", [linkless_twins, isolated_twins])
+def test_twin_quotient_rejects_twins_without_links(build):
+    # the quotient keeps one of them, which alone would look connected
+    with pytest.raises(TopologyError, match="hosts 0 and 1 have no links"):
+        host_twin_quotient(build())
 
 
 def test_build_does_not_make_the_neighbors_table():

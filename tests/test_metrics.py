@@ -19,6 +19,7 @@ from dcnbench.builders import (
     PRESETS,
     build_bcube,
     build_dcell,
+    build_facebook_fabric,
     build_fat_tree,
     build_jellyfish,
     build_mdcube,
@@ -42,7 +43,13 @@ from dcnbench.metrics import (
     surviving_host_pairs,
 )
 
-from hand_topologies import HAND_BUILT, bfs_distances, isolated_switch, isolated_twins
+from hand_topologies import (
+    HAND_BUILT,
+    bfs_distances,
+    isolated_switch,
+    isolated_twins,
+    twins_of_twins,
+)
 
 
 def star(num_hosts, capacity=1.0):
@@ -122,6 +129,9 @@ PATH_CASES.update(
     dcell_n3_l2=lambda: build_dcell(3, 2),  # 156 twin classes: bitsets past one word
     bcube_n3_k3=lambda: build_bcube(3, 3),  # 81 twin classes
     isolated_switch=isolated_switch,  # unreachable switch, connected hosts
+    fat_tree_k4_h3=lambda: build_fat_tree(4, hosts_per_edge=3),  # twin classes of 3
+    facebook_8_2_3_2=lambda: build_facebook_fabric(8, 2, 3, 2),
+    twins_of_twins=twins_of_twins,  # the quotient drops both ends of a link
 )
 
 
@@ -464,6 +474,17 @@ def test_infinite_capacity_fails_every_bisection(capacities):
     for call in (bisection_bandwidth_exact, bisection_bandwidth_heuristic, compute_metrics):
         with pytest.raises(TopologyError, match=r"^link 0 \(0-2\) has infinite capacity$"):
             call(topo)
+
+
+@pytest.mark.parametrize("capacities", [(INF, 1.0), (1.0, INF)], ids=["first", "second"])
+def test_supplied_bisection_still_rejects_infinite_host_link(capacities):
+    # a supplied bisection skips the cut solver and its check; the access
+    # sum once came out inf here, and so did the ratio
+    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1), Node(2, NodeKind.SWITCH, 2)]
+    topo = Topology(nodes, [Link(h, 2, capacity) for h, capacity in enumerate(capacities)])
+    bad = capacities.index(INF)
+    with pytest.raises(TopologyError, match=rf"^link {bad} \({bad}-2\) has infinite capacity$"):
+        oversubscription_ratio(topo, bisection=1.0)
 
 
 @pytest.mark.parametrize("name", ["dcell-n4-l1", "dcell-n6-l1", "facebook-scaled"])

@@ -22,11 +22,13 @@ from dcnbench.builders import (
     build_bcube,
     build_dcell,
     build_f10,
+    build_facebook_fabric,
     build_fat_tree,
     build_jellyfish,
     build_preset,
 )
 from dcnbench.flitsim import SimConfig, run_simulation
+from dcnbench.metrics import avg_host_path
 from dcnbench.routing import (
     bcube_router,
     check_route,
@@ -39,7 +41,13 @@ from dcnbench.routing import (
     shortest_route_avoiding,
 )
 
-from hand_topologies import HAND_BUILT, bfs_distances, isolated_twins
+from hand_topologies import (
+    HAND_BUILT,
+    bfs_distances,
+    isolated_twins,
+    linkless_twins,
+    twins_of_twins,
+)
 
 
 def line_topology():
@@ -85,6 +93,9 @@ ECMP_CASES.update({
     "bcube-n3-k3": lambda: build_bcube(3, 3),
     "fat-tree-k6": lambda: build_fat_tree(6),
     "f10-k6": lambda: build_f10(6),
+    "fat-tree-k4-h3": lambda: build_fat_tree(4, hosts_per_edge=3),  # twin classes of 3
+    "facebook-8-2-3-2": lambda: build_facebook_fabric(8, 2, 3, 2),
+    "twins_of_twins": twins_of_twins,  # the quotient drops both ends of a link
 })
 for seed in range(5):  # random wiring splits nodes into many next-hop groups
     ECMP_CASES[f"jellyfish-s40-p6-r4-seed{seed}"] = lambda seed=seed: build_jellyfish(40, 6, 4, seed=seed)
@@ -117,6 +128,18 @@ def test_ecmp_tables_reject_disconnected():
     lone_switch = line_topology().nodes + (Node(3, NodeKind.SWITCH, 2),)
     with pytest.raises(TopologyError):
         compute_ecmp_tables(Topology(lone_switch, line_topology().links))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [compute_ecmp_tables, lambda topo: route_provider(topo, "ecmp"), avg_host_path],
+    ids=["tables", "router", "avg-path"],
+)
+def test_linkless_twins_are_disconnected(call):
+    # the twin quotient keeps host 0 alone, which the sweep alone would
+    # count as connected
+    with pytest.raises(TopologyError, match="disconnected"):
+        call(linkless_twins())
 
 
 def test_ecmp_tables_without_hosts_are_empty():
@@ -381,8 +404,9 @@ def test_ecmp_router_walks_the_tables(name):
 
 
 def test_ecmp_router_memory_is_per_class():
-    # one dict entry per (node, host) held 56 MB here; with one next-hop slot
-    # per (node, twin class) the router and the table views peak at about 2.5 MB
+    # one dict entry per (node, host) held 56 MB here, and one row per node
+    # about 2.5 MB; with rows only for the nodes of the twin quotient (448 of
+    # 1,344) the router and the table views peak at about 1.3 and 1.0 MB
     topo = build_fat_tree(16)
     for build in (lambda: route_provider(topo, "ecmp"), lambda: compute_ecmp_tables(topo)):
         tracemalloc.start()
@@ -391,7 +415,7 @@ def test_ecmp_router_memory_is_per_class():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 1.9e6
 
 
 def test_fat_tree_same_edge_length_two():
