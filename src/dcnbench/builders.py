@@ -30,6 +30,7 @@ from .graph import (
     TaxonomyRecord,
     Topology,
     TopologyError,
+    check_count,
 )
 
 DEFAULT_SIZE_CAP = 100_000
@@ -54,14 +55,6 @@ def _check_cap(num_nodes: int, what: str) -> None:
             f"{what} needs more nodes than the cap of {cap} "
             f"(override with DCNBENCH_SIZE_CAP)"
         )
-
-
-def _check_sizes(**sizes: object) -> None:
-    """Raise :class:`TopologyError` naming the first size parameter that is
-    not an ``int``; a ``bool`` is not a size."""
-    for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TopologyError(f"{name} must be an integer, got {value!r}")
 
 
 def _capped_power(base: int, exp: int, what: str) -> int:
@@ -160,9 +153,7 @@ def _fat_tree_family(
     half = k // 2
     if hosts_per_edge is None:
         hosts_per_edge = half
-    _check_sizes(hosts_per_edge=hosts_per_edge)
-    if hosts_per_edge < 1:
-        raise TopologyError("hosts_per_edge must be >= 1")
+    check_count("hosts_per_edge", hosts_per_edge)
     num_hosts = k * half * hosts_per_edge
     _check_cap(num_hosts + k * k + half * half, f"{builder}(k={k})")
     edge_base = num_hosts
@@ -233,9 +224,9 @@ def build_fat_tree(k: int, hosts_per_edge: Optional[int] = None) -> Topology:
     ``hosts_per_edge`` overrides the per-edge host count (e.g. 1 replicates
     the survey's 8-host evaluation setup) without touching the switch fabric.
     """
-    _check_sizes(k=k)
-    if k < 2 or k % 2 != 0:
-        raise TopologyError(f"fat tree requires even k >= 2, got {k}")
+    check_count("k", k, 2)
+    if k % 2 != 0:
+        raise TopologyError(f"fat tree requires even k, got {k}")
     half = k // 2
 
     def stripe(p: int, a: int) -> range:
@@ -250,9 +241,9 @@ def build_f10(k: int, hosts_per_edge: Optional[int] = None) -> Topology:
     strided striping) so a core can reach a pod through a second aggregation
     switch in two extra hops when one fails.
     """
-    _check_sizes(k=k)
-    if k < 4 or k % 2 != 0:
-        raise TopologyError(f"F10 requires even k >= 4, got {k}")
+    check_count("k", k, 4)
+    if k % 2 != 0:
+        raise TopologyError(f"F10 requires even k, got {k}")
     half = k // 2
 
     def stripe(p: int, a: int) -> range:
@@ -275,14 +266,10 @@ def build_facebook_fabric(
     switch in each plane. Fabric links default to 4x the host link capacity,
     modeling 40G uplinks over 10G host downlinks.
     """
-    _check_sizes(
-        edge_switches=edge_switches, agg_switches=agg_switches,
-        hosts_per_edge=hosts_per_edge, planes=planes,
-    )
-    if edge_switches < 1 or agg_switches < 1 or planes < 1:
-        raise TopologyError("facebook fabric requires positive switch/plane counts")
-    if hosts_per_edge < 0:
-        raise TopologyError(f"hosts_per_edge must be >= 0, got {hosts_per_edge}")
+    check_count("edge_switches", edge_switches)
+    check_count("agg_switches", agg_switches)
+    check_count("hosts_per_edge", hosts_per_edge, 0)
+    check_count("planes", planes)
     if not 0 < host_link_capacity < float("inf"):  # NaN fails every comparison
         raise TopologyError(
             f"host_link_capacity must be a finite number > 0, got {host_link_capacity}"
@@ -367,9 +354,8 @@ def _join_complete(groups: Sequence[Sequence[int]]) -> list[Link]:
 def _dcell_t_list(n: int, level: int, limit: float = float("inf")) -> list[int]:
     """Host counts t_0..t_level of DCell(n, level): t_0 = n, t_l = t_{l-1}*(t_{l-1}+1).
     The list ends early at the first count above ``limit``."""
-    _check_sizes(n=n, level=level)
-    if n < 2 or level < 0:
-        raise TopologyError(f"dcell requires n >= 2 and level >= 0, got n={n}, level={level}")
+    check_count("n", n, 2)
+    check_count("level", level, 0)
     ts = [n]
     while len(ts) <= level and ts[-1] <= limit:
         ts.append(ts[-1] * (ts[-1] + 1))
@@ -477,18 +463,13 @@ def _bcube_parts(n: int, k: int):
     return nodes, links
 
 
-def _check_bcube_params(n: int, k: int) -> None:
-    _check_sizes(n=n, k=k)
-    if n < 2 or k < 0:
-        raise TopologyError(f"bcube requires n >= 2 and k >= 0, got n={n}, k={k}")
-
-
 def build_bcube(n: int, k: int) -> Topology:
     """BCube(n, k): n^(k+1) hosts addressed by k+1 base-n digits; the level-i
     switch for each digit combination joins the n hosts differing only in
     digit i. (k+1)*n^k switches total.
     """
-    _check_bcube_params(n, k)
+    check_count("n", n, 2)
+    check_count("k", k, 0)
     what = f"bcube(n={n}, k={k})"
     num_hosts = _capped_power(n, k + 1, what)
     _check_cap(num_hosts + (k + 1) * n**k, what)
@@ -506,10 +487,10 @@ def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
     in the same row (and same column) pairwise joined by one link between
     designated switches, forming a complete graph per dimension.
     """
-    _check_sizes(rows=rows, cols=cols)
-    if rows < 1 or cols < 1:
-        raise TopologyError("mdcube requires rows, cols >= 1")
-    _check_bcube_params(n, k)
+    check_count("rows", rows)
+    check_count("cols", cols)
+    check_count("n", n, 2)
+    check_count("k", k, 0)
     per_hosts = _capped_power(n, k + 1, "mdcube")
     per_switches = (k + 1) * n**k
     containers = rows * cols
@@ -705,11 +686,11 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
     and 0.34 s at 4,000; the pairing alone takes 1.8 s at 20,000 switches
     with r 8, the most the default size cap admits with ports 12.
     """
-    _check_sizes(num_switches=num_switches, ports=ports, r=r)
+    check_count("num_switches", num_switches, 2)
+    check_count("ports", ports, 2)
+    check_count("r", r)  # r = 0 gives a disconnected switch cloud
     if r >= ports:
         raise TopologyError(f"need r < ports, got r={r}, ports={ports}")
-    if r < 1:
-        raise TopologyError("r = 0 gives a disconnected switch cloud")
     if r == 1 and num_switches > 2:
         raise TopologyError(f"r = 1 pairs switches off, so {num_switches} switches cannot connect")
     if num_switches < r + 1:
@@ -790,20 +771,11 @@ def build_scafida(
     ``switch_links`` attachments each, then multi-homed hosts with up to
     ``host_links`` uplinks to distinct switches. Deterministic per seed.
     """
-    _check_sizes(
-        num_switches=num_switches, num_hosts=num_hosts, max_degree=max_degree,
-        switch_links=switch_links, host_links=host_links,
-    )
-    if max_degree < 2:
-        raise TopologyError("max_degree must be >= 2")
-    if num_switches < 1:
-        raise TopologyError("need at least one switch")
-    if num_hosts < 0:
-        raise TopologyError(f"num_hosts must be >= 0, got {num_hosts}")
-    if switch_links < 1:
-        raise TopologyError(f"switch_links must be >= 1, got {switch_links}")
-    if host_links < 1:
-        raise TopologyError(f"host_links must be >= 1, got {host_links}")
+    check_count("num_switches", num_switches)
+    check_count("num_hosts", num_hosts, 0)
+    check_count("max_degree", max_degree, 2)
+    check_count("switch_links", switch_links)
+    check_count("host_links", host_links)
     _check_cap(num_switches + num_hosts, "scafida")
     rng = random.Random(seed)
     host_cap = min(host_links, max_degree)
@@ -903,9 +875,8 @@ def build_hcn(n: int, h: int) -> Topology:
     recursively interconnected through the hosts' second ports; n ports
     remain free at the top for further extension.
     """
-    _check_sizes(n=n, h=h)
-    if n < 2 or h < 0:
-        raise TopologyError(f"hcn requires n >= 2 and h >= 0, got n={n}, h={h}")
+    check_count("n", n, 2)
+    check_count("h", h, 0)
     what = f"hcn(n={n}, h={h})"
     num_hosts = _capped_power(n, h + 1, what)
     num_groups = n**h
@@ -928,9 +899,9 @@ def build_bcn(alpha: int, beta: int, h: int) -> Topology:
     servers per group; the alpha^h * beta slave servers of each unit then form
     a complete graph over alpha^h * beta + 1 units in the second dimension.
     """
-    _check_sizes(alpha=alpha, beta=beta, h=h)
-    if alpha < 1 or beta < 0 or h < 0:
-        raise TopologyError("bcn requires alpha >= 1, beta >= 0, h >= 0")
+    check_count("alpha", alpha)
+    check_count("beta", beta, 0)
+    check_count("h", h, 0)
     n = alpha + beta
     what = f"bcn(alpha={alpha}, beta={beta}, h={h})"
     groups_per_unit = _capped_power(alpha, h, what)

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Optional
 
-from .builders import _check_sizes
-from .graph import Topology, TopologyError
+from .graph import Topology, TopologyError, check_count
 from .routing import resolve_routing_mode, route_provider
 from .traffic import PatternKind, TrafficPattern, pattern_destination
 
@@ -55,23 +54,17 @@ class SimConfig:
         return self.sim_cycles // 10
 
     def check(self) -> None:
-        counts = dict(
-            sim_cycles=self.sim_cycles, vcs_per_port=self.vcs_per_port, vc_depth=self.vc_depth,
-            router_pipeline=self.router_pipeline, link_latency=self.link_latency,
-        )
+        # router_pipeline >= 1: an injected head is due that many cycles
+        # later; at 0 it would be due in a ready phase that has already run,
+        # and never leave
+        for name in ("sim_cycles", "vcs_per_port", "vc_depth", "router_pipeline", "link_latency"):
+            check_count(name, getattr(self, name))
         if self.warmup_cycles is not None:
-            counts["warmup_cycles"] = self.warmup_cycles
-        _check_sizes(**counts)
+            check_count("warmup_cycles", self.warmup_cycles, 0)
         if not 0 < self.injection_rate <= 1:
             raise TopologyError("injection_rate must be in (0, 1]")
-        if self.sim_cycles <= 0 or not 0 <= self.resolved_warmup() < self.sim_cycles:
+        if not self.resolved_warmup() < self.sim_cycles:
             raise TopologyError("need 0 <= warmup_cycles < sim_cycles")
-        if self.vcs_per_port < 1 or self.vc_depth < 1:
-            raise TopologyError("vcs_per_port and vc_depth must be >= 1")
-        # an injected head is due ``router_pipeline`` cycles later; at 0 it
-        # would be due in a ready phase that has already run, and never leave
-        if self.router_pipeline < 1 or self.link_latency < 1:
-            raise TopologyError("router_pipeline and link_latency must be >= 1")
 
 
 @dataclass

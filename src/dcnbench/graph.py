@@ -349,6 +349,15 @@ def check_node_ids(topology: Topology, ids: Iterable[int]) -> None:
             raise TopologyError(f"node id {v} is outside 0..{num_nodes - 1}")
 
 
+def check_count(name: str, value: object, minimum: int = 1) -> None:
+    """Raise :class:`TopologyError` naming ``name`` unless ``value`` is an
+    ``int`` of at least ``minimum``; a ``bool`` is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TopologyError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise TopologyError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def multi_source_bfs(
     topology: Topology, sources: Sequence[int], blocked: Iterable[int] = ()
 ) -> Iterator[dict[int, int]]:

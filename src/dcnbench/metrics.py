@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from .graph import (
     Topology,
     TopologyError,
+    check_count,
     host_twin_classes,
     host_twin_quotient,
     multi_source_bfs,
@@ -452,13 +453,6 @@ def _fm_refine(
             return
 
 
-def _check_count(name: str, value: int) -> None:
-    """Raise :class:`TopologyError` naming ``name`` unless ``value`` is an
-    ``int`` of at least 1; a ``bool`` is not a count."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise TopologyError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def bisection_bandwidth_heuristic(
     topology: Topology, restarts: int = 8, seed: int = 0
 ) -> float:
@@ -478,7 +472,7 @@ def bisection_bandwidth_heuristic(
     H = len(hosts)
     if H < 2:
         raise TopologyError("bisection needs at least two hosts")
-    _check_count("restarts", restarts)
+    check_count("restarts", restarts)
     solver, arcs = _partition_cut_solver(topology)
     closed = list(solver.cap)
     n = topology.num_nodes
@@ -511,7 +505,7 @@ def _bisection(topology: Topology, restarts: int = 8, seed: int = 0) -> tuple[fl
     :data:`EXACT_BISECTION_MAX_HOSTS` hosts, "heuristic" (an upper bound)
     beyond. ``restarts`` is checked on every topology, though only the
     heuristic uses it."""
-    _check_count("restarts", restarts)
+    check_count("restarts", restarts)
     if topology.num_hosts <= EXACT_BISECTION_MAX_HOSTS:
         return bisection_bandwidth_exact(topology), "exact"
     return bisection_bandwidth_heuristic(topology, restarts=restarts, seed=seed), "heuristic"
@@ -623,7 +617,7 @@ def failure_experiment(
     """
     if not 0 <= fail_fraction < 1:
         raise TopologyError("fail_fraction must be in [0, 1)")
-    _check_count("trials", trials)
+    check_count("trials", trials)
     if topology.num_hosts < 2:
         raise TopologyError("failure experiment needs at least two hosts")
     switches = topology.switches
