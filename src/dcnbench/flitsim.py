@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Optional
 
-from .graph import Topology, TopologyError, check_count
+from .graph import Topology, TopologyError, check_count, check_number
 from .routing import resolve_routing_mode, route_provider
 from .traffic import PatternKind, TrafficPattern, pattern_destination
 
@@ -61,6 +61,7 @@ class SimConfig:
             check_count(name, getattr(self, name))
         if self.warmup_cycles is not None:
             check_count("warmup_cycles", self.warmup_cycles, 0)
+        check_number("injection_rate", self.injection_rate)
         if not 0 < self.injection_rate <= 1:
             raise TopologyError("injection_rate must be in (0, 1]")
         if not self.resolved_warmup() < self.sim_cycles:

@@ -358,6 +358,14 @@ def check_count(name: str, value: object, minimum: int = 1) -> None:
         raise TopologyError(f"{name} must be >= {minimum}, got {value!r}")
 
 
+def check_number(name: str, value: object) -> None:
+    """Raise :class:`TopologyError` naming ``name`` unless ``value`` is an
+    ``int`` or a ``float``; a ``bool`` is not a number. The caller tests the
+    interval."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TopologyError(f"{name} must be a number, got {value!r}")
+
+
 def multi_source_bfs(
     topology: Topology, sources: Sequence[int], blocked: Iterable[int] = ()
 ) -> Iterator[dict[int, int]]:

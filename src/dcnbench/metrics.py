@@ -47,6 +47,7 @@ from .graph import (
     Topology,
     TopologyError,
     check_count,
+    check_number,
     host_twin_classes,
     host_twin_quotient,
     multi_source_bfs,
@@ -522,6 +523,8 @@ def oversubscription_ratio(topology: Topology, bisection: float | None = None) -
     """
     if bisection is None:
         bisection, _ = _bisection(topology)
+    else:
+        check_number("bisection", bisection)
     if bisection == 0:
         raise TopologyError("bisection bandwidth is 0: some balanced host partition is disconnected")
     if not 0 < bisection < INF:  # NaN fails every comparison
@@ -615,6 +618,7 @@ def failure_experiment(
     measure what fraction of host pairs keep >= 2 vertex-disjoint paths and
     what fraction stay connected. Hosts never fail.
     """
+    check_number("fail_fraction", fail_fraction)
     if not 0 <= fail_fraction < 1:
         raise TopologyError("fail_fraction must be in [0, 1)")
     check_count("trials", trials)

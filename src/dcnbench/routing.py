@@ -8,10 +8,9 @@ Every routing mode is one router factory of one shape,
 :func:`fat_tree_router`, :func:`dcell_router` and :func:`bcube_router`. A
 factory checks its topology and computes once what a lookup reads (for
 ECMP, next hops per host twin class for each node of the twin quotient,
-a twin sharing its class's first member's: 0.7 MB on fat tree k=16, and
-:func:`compute_ecmp_tables` serves them as per-node tables too); the
-callable it returns only indexes those or does integer arithmetic on the
-addresses.
+a twin sharing its class's first member's, and :func:`compute_ecmp_tables`
+serves them as per-node tables too); the callable it returns only indexes
+those or does integer arithmetic on the addresses.
 :func:`route_provider` picks the factory. Every lookup raises
 :class:`TopologyError`, after an O(1) test, when ``src == dst`` or an
 endpoint is not a host.
@@ -167,8 +166,7 @@ def compute_ecmp_tables(topology: Topology) -> list[Mapping[int, tuple[int, ...]
     """Per node, a read-only map destination host -> sorted tuple of
     equal-cost next hops: a view over the node's :func:`_ecmp_rows` row, so
     memory grows with twin classes and the nodes of the twin quotient, not
-    with hosts (a 1.0 MB peak on fat tree k=16, where one row per node
-    peaked at 2.3 MB and one dict entry per (node, host) took 56 MB)."""
+    with hosts."""
     class_of, rows = _ecmp_rows(topology)
     return [_EcmpTable(v, row, topology.hosts, class_of) for v, row in enumerate(rows)]
 
@@ -181,9 +179,6 @@ def ecmp_router(topology: Topology) -> Router:
     steps onto ``dst`` where the walk reaches its class's representative
     (the rule of :class:`_EcmpTable`), so routes and ``rng.randrange(n)``
     draws (``n > 1`` only) are those of a :func:`compute_ecmp_tables` walk.
-    The build takes about 16 ms on Jellyfish(200,12,8) (traced perfbench
-    ``routes`` run, seed 1, reference speed), and the router keeps 1.7 MB
-    there and 0.7 MB on fat tree k=16.
     """
     class_of, rows = _ecmp_rows(topology)
 
@@ -503,12 +498,9 @@ def route_provider(topology: Topology, mode: str = "auto") -> Router:
     mode's factory runs here, once per topology: it builds what a lookup
     reads, and a topology the mode cannot route raises
     :class:`TopologyError` here rather than at the first lookup.
-    Costs, from perfbench's traced ``routes`` run (seed 1, scaled to its
-    reference speed): "fat-tree" builds its tables in one pass over the
-    links (about 1.4 ms on fat tree k=16), "ecmp" builds its class rows
-    over the twin quotient (about 16 ms on Jellyfish(200,12,8)), and
-    "dcell" and "bcube" only read their builder parameters. A lookup takes
-    about 1 us on each of these.
+    "fat-tree" builds its tables in one pass over the links, "ecmp" builds
+    its class rows over the twin quotient, and "dcell" and "bcube" only
+    read their builder parameters.
     """
     mode = resolve_routing_mode(topology, mode)
     factory = ROUTERS.get(mode)
