@@ -684,6 +684,7 @@ def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Top
     check_count("num_switches", num_switches, 2)
     check_count("ports", ports, 2)
     check_count("r", r)  # r = 0 gives a disconnected switch cloud
+    check_count("seed", seed, None)
     if r >= ports:
         raise TopologyError(f"need r < ports, got r={r}, ports={ports}")
     if r == 1 and num_switches > 2:
@@ -715,6 +716,7 @@ def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:
     ``r``, read from its ``builder_params``, and ``ports - r`` hosts; with
     odd r it ends at r - 1 switch links.
     """
+    check_count("seed", seed, None)
     params = dict(topology.builder_params)
     if params.get("builder") != "jellyfish":
         raise TopologyError("expand_jellyfish requires a jellyfish-built topology")
@@ -771,6 +773,7 @@ def build_scafida(
     check_count("max_degree", max_degree, 2)
     check_count("switch_links", switch_links)
     check_count("host_links", host_links)
+    check_count("seed", seed, None)
     _check_cap(num_switches + num_hosts, "scafida")
     rng = random.Random(seed)
     host_cap = min(host_links, max_degree)
@@ -956,4 +959,5 @@ def build_preset(name: str, seed: int = 0) -> Topology:
         raise TopologyError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
+    check_count("seed", seed, None)  # also for the presets that take no seed
     return factory(seed)

@@ -61,6 +61,7 @@ class SimConfig:
             check_count(name, getattr(self, name))
         if self.warmup_cycles is not None:
             check_count("warmup_cycles", self.warmup_cycles, 0)
+        check_count("seed", self.seed, None)
         check_number("injection_rate", self.injection_rate)
         if not 0 < self.injection_rate <= 1:
             raise TopologyError("injection_rate must be in (0, 1]")
@@ -420,6 +421,7 @@ def sweep_injection(
         raise TopologyError("rates list is empty")
     if any(b <= a for a, b in zip(rates, rates[1:])):
         raise TopologyError("rates must be strictly increasing")
+    check_count("seed", config.seed, None)  # True would derive int seeds 7919 + i
     curve = []
     for idx, rate in enumerate(rates):
         point_config = replace(

@@ -349,12 +349,15 @@ def check_node_ids(topology: Topology, ids: Iterable[int]) -> None:
             raise TopologyError(f"node id {v} is outside 0..{num_nodes - 1}")
 
 
-def check_count(name: str, value: object, minimum: int = 1) -> None:
+def check_count(name: str, value: object, minimum: Optional[int] = 1) -> None:
     """Raise :class:`TopologyError` naming ``name`` unless ``value`` is an
-    ``int`` of at least ``minimum``; a ``bool`` is not a count."""
+    ``int`` of at least ``minimum``; a ``bool`` is not a count. With
+    ``minimum=None`` any ``int`` passes: the rule for a seed, which
+    ``random.Random`` would otherwise take from the operating system when
+    it is ``None``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TopologyError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise TopologyError(f"{name} must be >= {minimum}, got {value!r}")
 
 
@@ -381,10 +384,14 @@ def multi_source_bfs(
     the sweep runs on the graph without them (a blocked source still starts
     its own bit). An id outside ``0..num_nodes-1`` raises at the first level.
 
-    Each level ORs every frontier node's bits into its neighbours, so the
-    cost is (levels) x (adjacency entries) big-int operations on
-    ``len(sources) / 64`` machine words each, where one BFS per source costs
-    ``len(sources)`` x (adjacency entries) Python steps.
+    Each level ORs every frontier node's bits into its neighbours' entries
+    of one ``reached`` list, allocated once per sweep, and notes the nodes
+    it touches in first-push order; reading the next frontier off them
+    zeroes each entry again, and each mapping lists its nodes in that
+    order. So the cost is (levels) x (adjacency entries) big-int operations
+    on ``len(sources) / 64`` machine words each, with no dict probed per
+    neighbour visit, where one BFS per source costs ``len(sources)`` x
+    (adjacency entries) Python steps.
 
     Three consumers share the sweep. :func:`dcnbench.metrics.host_path_stats`
     and the one ECMP build (``dcnbench.routing._ecmp_rows``, which both
@@ -399,6 +406,7 @@ def multi_source_bfs(
     check_node_ids(topology, (*sources, *blocked))
     neighbors = topology.neighbors
     seen = [0] * topology.num_nodes
+    reached = [0] * topology.num_nodes  # zero between levels
     frontier: dict[int, int] = {}
     for i, s in enumerate(sources):
         frontier[s] = seen[s] = seen[s] | 1 << i
@@ -406,14 +414,18 @@ def multi_source_bfs(
         seen[v] = -1  # every bit, in two's complement
     while frontier:
         yield frontier
-        reached: dict[int, int] = {}
-        get = reached.get
+        touched = []
         for v, bits in frontier.items():
             for nb in neighbors[v]:
-                reached[nb] = get(nb, 0) | bits
+                if reached[nb]:
+                    reached[nb] |= bits
+                else:  # frontier bits are never 0
+                    reached[nb] = bits
+                    touched.append(nb)
         frontier = {}
-        for v, bits in reached.items():
-            bits &= ~seen[v]
+        for v in touched:
+            bits = reached[v] & ~seen[v]
+            reached[v] = 0
             if bits:
                 seen[v] |= bits
                 frontier[v] = bits

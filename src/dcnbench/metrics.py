@@ -474,6 +474,7 @@ def bisection_bandwidth_heuristic(
     if H < 2:
         raise TopologyError("bisection needs at least two hosts")
     check_count("restarts", restarts)
+    check_count("seed", seed, None)
     solver, arcs = _partition_cut_solver(topology)
     closed = list(solver.cap)
     n = topology.num_nodes
@@ -504,9 +505,10 @@ def bisection_bandwidth_heuristic(
 def _bisection(topology: Topology, restarts: int = 8, seed: int = 0) -> tuple[float, str]:
     """Bisection bandwidth and the method that found it: "exact" up to
     :data:`EXACT_BISECTION_MAX_HOSTS` hosts, "heuristic" (an upper bound)
-    beyond. ``restarts`` is checked on every topology, though only the
-    heuristic uses it."""
+    beyond. ``restarts`` and ``seed`` are checked on every topology, though
+    only the heuristic uses them."""
     check_count("restarts", restarts)
+    check_count("seed", seed, None)
     if topology.num_hosts <= EXACT_BISECTION_MAX_HOSTS:
         return bisection_bandwidth_exact(topology), "exact"
     return bisection_bandwidth_heuristic(topology, restarts=restarts, seed=seed), "heuristic"
@@ -622,6 +624,7 @@ def failure_experiment(
     if not 0 <= fail_fraction < 1:
         raise TopologyError("fail_fraction must be in [0, 1)")
     check_count("trials", trials)
+    check_count("seed", seed, None)
     if topology.num_hosts < 2:
         raise TopologyError("failure experiment needs at least two hosts")
     switches = topology.switches

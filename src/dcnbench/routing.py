@@ -74,9 +74,10 @@ def _ecmp_rows(topology: Topology) -> tuple[dict[int, tuple[int, int]], list[lis
     twins that forward traffic stay next hops. Splitting the full class
     mask by these per-neighbour masks, in ascending neighbour order with
     link multiplicity, gives the node's few distinct tuples: the largest
-    group fills the row and the others overwrite their slots. A twin shares
-    its representative's row object, which is its own row too. A
-    disconnected topology raises :class:`TopologyError`.
+    group fills the row and each other overwrites its slots from the top
+    bit down (no ``mask & -mask`` temporaries). A twin shares its
+    representative's row object, which is its own row too. A disconnected
+    topology raises :class:`TopologyError`.
     """
     classes, twins = host_twin_quotient(topology)
     reps = [members[0] for _, members in classes]
@@ -84,17 +85,19 @@ def _ecmp_rows(topology: Topology) -> tuple[dict[int, tuple[int, int]], list[lis
     neighbours = topology.neighbors
     closer: dict[int, dict[int, int]] = {v: {} for v in range(num_nodes) if v not in twins}
     swept = 0
-    previous: dict[int, int] = {}
+    # the bits each node last gained: not zeroed between levels, since a bit
+    # nb gained before level d - 1 is never one its neighbour v gains at d
+    was = [0] * num_nodes
     for gained in multi_source_bfs(topology, reps, twins):
-        was = previous.get
         for v, bits in gained.items():
             swept += bits.bit_count()
             masks = closer[v]
             for nb in neighbours[v]:
-                step = bits & was(nb, 0)
+                step = bits & was[nb]
                 if step:
                     masks[nb] = masks.get(nb, 0) | step
-        previous = gained
+        for v, bits in gained.items():
+            was[v] = bits
     if swept != len(closer) * len(classes):  # each kept node gains each bit at most once
         raise TopologyError("topology is disconnected")
     for t, k in twins.items():
@@ -122,9 +125,9 @@ def _ecmp_rows(topology: Topology) -> tuple[dict[int, tuple[int, int]], list[lis
         row = [groups.pop()[1]] * len(classes)
         for mask, hops in groups:
             while mask:
-                low = mask & -mask
-                row[low.bit_length() - 1] = hops
-                mask ^= low
+                top = mask.bit_length() - 1
+                row[top] = hops
+                mask ^= 1 << top
         rows[v] = row
     for c, (nbrs, members) in enumerate(classes):
         rows[members[0]][c] = nbrs

@@ -4,8 +4,9 @@ Twin hosts are hosts with the same sorted ``(neighbour, capacity)`` list
 (:func:`dcnbench.graph.host_twin_classes`, the one twin rule); path
 metrics and ECMP tables sweep from one source per twin class, and exact
 bisection enumerates per-class host counts, so these cases pin down where
-those shortcuts could go wrong. ``isolated_switch`` is the one case that
-is not about twins: a node no host reaches.
+those shortcuts could go wrong. ``isolated_switch`` is not about twins:
+a node no host reaches; nor is ``broom``, a node with hundreds of distinct
+next-hop tuples.
 
 :func:`bfs_distances` is the plain single-source BFS that the tests use as
 their reference for every shortest-path computation in the package.
@@ -90,6 +91,17 @@ def isolated_switch():
     """Hosts 0-2 share switch 3 and host 2 also reaches switch 4; switch 5
     has no links."""
     return _topology(3, 3, [(0, 3), (1, 3), (2, 3), (2, 4)])
+
+
+def broom(leaves=300):
+    """One root switch and ``leaves`` leaf switches, one host on each leaf:
+    ``leaves`` twin classes, and at the root as many next-hop groups, each
+    one leaf wide, so its class mask is wider than any machine word."""
+    root = 2 * leaves
+    return _topology(leaves, leaves + 1, [
+        *((h, leaves + h) for h in range(leaves)),
+        *((leaves + h, root) for h in range(leaves)),
+    ])
 
 
 HAND_BUILT = {

@@ -1,5 +1,5 @@
-"""Every count and number parameter goes through one rule in ``graph.py``
-(``check_count`` and ``check_number``), so a bad value raises
+"""Every count, seed and number parameter goes through one rule in
+``graph.py`` (``check_count`` and ``check_number``), so a bad value raises
 :class:`TopologyError` whose message begins with the parameter's name."""
 
 import re
@@ -16,10 +16,12 @@ from dcnbench.builders import (
     build_hcn,
     build_jellyfish,
     build_mdcube,
+    build_preset,
     build_scafida,
     dcell_host_count,
+    expand_jellyfish,
 )
-from dcnbench.flitsim import SimConfig
+from dcnbench.flitsim import SimConfig, sweep_injection
 from dcnbench.graph import TopologyError
 from dcnbench.metrics import (
     bisection_bandwidth_heuristic,
@@ -27,6 +29,7 @@ from dcnbench.metrics import (
     failure_experiment,
     oversubscription_ratio,
 )
+from dcnbench.traffic import TrafficPattern
 
 
 def _sim_config(**fields):
@@ -116,3 +119,49 @@ def test_number_parameter_must_be_a_number(function, kwargs, name, value):
     # bare TypeError from a comparison
     with pytest.raises(TopologyError, match=f"^{name} must be a number, got {re.escape(repr(value))}$"):
         function(**{**kwargs, name: value})
+
+
+def _sweep(**fields):
+    config = SimConfig(**{"injection_rate": 0.1, "sim_cycles": 200, **fields})
+    return sweep_injection(build_fat_tree(4), "auto", TrafficPattern.uniform(), [0.1], config)
+
+
+# (function, valid keyword arguments); every seeded call takes ``seed``
+SEED_PARAMETERS = [
+    (build_jellyfish, {"num_switches": 20, "ports": 6, "r": 3}),
+    (expand_jellyfish, {"topology": build_jellyfish(10, 4, 3, seed=1)}),
+    (build_scafida, {"num_switches": 8, "num_hosts": 8, "max_degree": 8}),
+    (build_preset, {"name": "jellyfish-s10-p4-r3"}),
+    (build_preset, {"name": "fat-tree-k4"}),  # a preset that uses no seed
+    (bisection_bandwidth_heuristic, {"topology": build_fat_tree(4), "restarts": 1}),
+    (failure_experiment, {"topology": build_fat_tree(4), "fail_fraction": 0.1, "trials": 1}),
+    (compute_metrics, {"topology": build_fat_tree(4)}),  # exact: the seed goes unused
+    (_sim_config, {}),
+    (_sweep, {}),
+]
+SEED_IDS = [f"{f.__name__}-{kwargs.get('name', '')}".rstrip("-") for f, kwargs in SEED_PARAMETERS]
+
+
+@pytest.mark.parametrize("value", [None, True, 1.0, "1"])
+@pytest.mark.parametrize("function, kwargs", SEED_PARAMETERS, ids=SEED_IDS)
+def test_seed_must_be_an_integer(function, kwargs, value):
+    # seed=None once seeded random.Random from the operating system, so two
+    # build_jellyfish(20, 6, 3, seed=None) calls gave different links
+    with pytest.raises(TopologyError, match=f"^seed must be an integer, got {re.escape(repr(value))}$"):
+        function(**{**kwargs, "seed": value})
+
+
+@pytest.mark.parametrize("function, kwargs", SEED_PARAMETERS, ids=SEED_IDS)
+def test_negative_seed_is_valid(function, kwargs):
+    function(**{**kwargs, "seed": -3})
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: build_jellyfish(20, 6, 3, seed=seed),
+    lambda seed: expand_jellyfish(build_jellyfish(10, 4, 3, seed=1), seed=seed),
+    lambda seed: build_scafida(8, 8, 8, seed=seed),
+], ids=["build_jellyfish", "expand_jellyfish", "build_scafida"])
+def test_negative_seed_builds_repeat(build):
+    first, second = build(-3), build(-3)
+    assert first.links == second.links
+    assert first.builder_params == second.builder_params

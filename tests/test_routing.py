@@ -14,6 +14,7 @@ from dcnbench.graph import (
     Topology,
     TopologyError,
     export_edge_list,
+    host_twin_quotient,
     import_edge_list,
     multi_source_bfs,
 )
@@ -44,6 +45,7 @@ from dcnbench.routing import (
 from hand_topologies import (
     HAND_BUILT,
     bfs_distances,
+    broom,
     isolated_twins,
     linkless_twins,
     twins_of_twins,
@@ -96,6 +98,7 @@ ECMP_CASES.update({
     "fat-tree-k4-h3": lambda: build_fat_tree(4, hosts_per_edge=3),  # twin classes of 3
     "facebook-8-2-3-2": lambda: build_facebook_fabric(8, 2, 3, 2),
     "twins_of_twins": twins_of_twins,  # the quotient drops both ends of a link
+    "broom-300": broom,  # 300 next-hop groups at the root, filled slot by slot
 })
 for seed in range(5):  # random wiring splits nodes into many next-hop groups
     ECMP_CASES[f"jellyfish-s40-p6-r4-seed{seed}"] = lambda seed=seed: build_jellyfish(40, 6, 4, seed=seed)
@@ -739,6 +742,45 @@ def test_multi_source_bfs_skips_blocked_nodes(name):
         ])
         assert dist == bfs_distances(without, source)
         assert list(multi_source_bfs(topo, [source], ())) == list(multi_source_bfs(topo, [source]))
+
+
+def dict_multi_source_bfs(topology, sources, blocked=()):
+    """The sweep with a fresh dict per level, the reference for each level's
+    key order: its nodes in the order they were first pushed."""
+    seen = [0] * topology.num_nodes
+    frontier = {}
+    for i, s in enumerate(sources):
+        frontier[s] = seen[s] = seen[s] | 1 << i
+    for v in blocked:
+        seen[v] = -1
+    while frontier:
+        yield frontier
+        reached = {}
+        for v, bits in frontier.items():
+            for nb in topology.neighbors[v]:
+                reached[nb] = reached.get(nb, 0) | bits
+        frontier = {}
+        for v, bits in reached.items():
+            bits &= ~seen[v]
+            if bits:
+                seen[v] |= bits
+                frontier[v] = bits
+
+
+@pytest.mark.parametrize("name", sorted(ECMP_CASES))
+def test_multi_source_bfs_keeps_first_push_order(name):
+    # the consumers read levels in mapping order, and the ECMP rows and
+    # reroutes are pinned by seeded digests: key order must not move
+    topo = ECMP_CASES[name]()
+    classes, twins = host_twin_quotient(topo)
+    reps = [members[0] for _, members in classes]
+    pick = random.Random(name)
+    singles = [(s,) for s in pick.sample(range(topo.num_nodes), min(8, topo.num_nodes))]
+    for sources in (reps, *singles):
+        for blocked in ((), tuple(twins)):
+            got = [list(level.items()) for level in multi_source_bfs(topo, sources, blocked)]
+            want = [list(level.items()) for level in dict_multi_source_bfs(topo, sources, blocked)]
+            assert got == want
 
 
 # --- provider dispatch -------------------------------------------------------
