@@ -766,7 +766,10 @@ def build_scafida(
     links to existing switches chosen preferentially by degree (endpoint urn),
     skipping switches already at ``max_degree``. Switches arrive first with
     ``switch_links`` attachments each, then multi-homed hosts with up to
-    ``host_links`` uplinks to distinct switches. Deterministic per seed.
+    ``host_links`` uplinks to distinct switches. A host leaves one free
+    switch port for each host after it, so every host gets an uplink; raises
+    :class:`TopologyError` when the switches have fewer free ports than
+    there are hosts. Deterministic per seed.
     """
     check_count("num_switches", num_switches)
     check_count("num_hosts", num_hosts, 0)
@@ -817,14 +820,17 @@ def build_scafida(
                 f"switch {s} could not attach: connectivity unattainable under "
                 f"max_degree={max_degree}"
             )
+    # free switch ports; host h leaves one for each host after it, so an
+    # early host's multi-homing cannot strand a late one
+    free = num_switches * max_degree - 2 * len(edges)
+    if free < num_hosts:
+        raise TopologyError(
+            f"{num_hosts} hosts need a switch port each, but {free} are free "
+            f"under max_degree={max_degree}"
+        )
     for h in range(num_hosts):
-        node = num_switches + h
-        made = attach(node, host_cap, host_cap)
-        if made == 0:
-            raise TopologyError(
-                f"host {h} could not attach: no switch ports free under "
-                f"max_degree={max_degree}"
-            )
+        cap = min(host_cap, free - (num_hosts - 1 - h))
+        free -= attach(num_switches + h, cap, cap)
     nodes = _flat_nodes(num_hosts, host_cap, num_switches, max_degree)
 
     def to_id(key: int) -> int:

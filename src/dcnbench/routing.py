@@ -35,6 +35,12 @@ from .graph import (
 Route = list[int]
 Router = Callable[[int, int, random.Random], Route]
 
+# compared per node or endpoint: a module global reads faster than
+# ``NodeKind.HOST``, a class attribute of the Enum, on Python 3.10 and 3.11
+_HOST = NodeKind.HOST
+_SWITCH = NodeKind.SWITCH
+_FAT_TREE_POD = AddressScheme.FAT_TREE_POD
+
 
 def check_route(topology: Topology, route: Sequence[int]) -> None:
     """Assert the route is adjacent-consecutive, loop-free, host-terminated
@@ -46,7 +52,7 @@ def check_route(topology: Topology, route: Sequence[int]) -> None:
     if len(set(route)) != len(route):
         raise TopologyError(f"route repeats a node: {route}")
     for end in (route[0], route[-1]):
-        if topology.nodes[end].kind is not NodeKind.HOST:
+        if topology.nodes[end].kind is not _HOST:
             raise TopologyError(f"route endpoint {end} is not a host")
     for u, v in zip(route, route[1:]):
         if v not in topology.neighbors[u]:
@@ -231,11 +237,11 @@ def fat_tree_router(topology: Topology) -> Router:
     pod = []
     for node in nodes:
         addr = node.address
-        if addr.scheme is not AddressScheme.FAT_TREE_POD or len(addr.digits) < 2:
+        if addr.scheme is not _FAT_TREE_POD or len(addr.digits) < 2:
             raise TopologyError("fat-tree routing requires a fat-tree-family topology")
         layer.append(addr.digits[0])
         pod.append(addr.digits[1])
-    is_host = [node.kind is NodeKind.HOST for node in nodes]
+    is_host = [node.kind is _HOST for node in nodes]
     num_nodes = len(nodes)
     edge_of: list[Optional[int]] = [None] * num_nodes
     aggs: list[tuple[int, ...]] = []
@@ -452,9 +458,9 @@ def f10_reroute(
     if src == dst:
         raise TopologyError("src and dst must differ")
     for h in (src, dst):
-        if not (0 <= h < len(nodes) and nodes[h].kind is NodeKind.HOST):
+        if not (0 <= h < len(nodes) and nodes[h].kind is _HOST):
             raise TopologyError(f"{h} is not a host")
-    if not (0 <= failed < len(nodes) and nodes[failed].kind is NodeKind.SWITCH):
+    if not (0 <= failed < len(nodes) and nodes[failed].kind is _SWITCH):
         raise TopologyError(f"failed node {failed} is not a switch")
     rng = rng or random.Random(0)
     prefix = shortest_route_avoiding(topology, src, failed, set(), rng)

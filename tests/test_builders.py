@@ -465,6 +465,15 @@ def test_scafida_rejects_port_exhaustion():
         build_scafida(5, 20, 4, seed=0)
 
 
+@pytest.mark.parametrize("seed", range(-20, 20))
+def test_scafida_strands_no_late_host(seed):
+    # 6 free switch ports for 4 hosts of up to 4 uplinks each: the first
+    # hosts used to take them all, and host 2 could not attach at any seed
+    topo = build_scafida(4, 4, 4, seed=seed)
+    assert validate(topo) == []
+    assert all(topo.degree(h) >= 1 for h in topo.hosts)
+
+
 def test_scafida_connected_and_valid():
     topo = build_scafida(40, 80, 16, seed=2)
     assert validate(topo) == []

@@ -255,6 +255,41 @@ def test_import_unknown_keyword():
         import_edge_list("wat 0 0 0 0\n")
 
 
+# two nodes behind a comment, a blank and a whitespace-only line: the record
+# under test is line 6
+IMPORT_HEAD = "# two nodes\n\nnode 0 host 1 -\n   \nnode 1 switch 4 -\n"
+
+
+@pytest.mark.parametrize("record, message", [
+    ("node 2 switch 4", "expected 5 fields, got 4"),
+    ("node 2 switch 4 - extra", "expected 5 fields, got 6"),
+    ("link 0 1 1", "expected 5 fields, got 4"),
+    ("node x switch 4 -", "invalid literal for int() with base 10: 'x'"),
+    ("node 3 switch 4 -", "node id 3 out of order (expected 2)"),
+    ("node 2 oops 4 -", "'oops' is not a valid NodeKind"),
+    ("node 2 switch four -", "invalid literal for int() with base 10: 'four'"),
+    ("node 2 switch 4 1,a", "bad address digits '1,a'"),
+    # the id is read before the kind, the kind before the radix
+    ("node x oops four -", "invalid literal for int() with base 10: 'x'"),
+    ("node 2 oops four -", "'oops' is not a valid NodeKind"),
+    ("link 0 2 1 10", "link endpoint out of range: 0-2"),
+    ("link -1 1 1 10", "link endpoint out of range: -1-1"),
+    ("link 0 1 fast 10", "could not convert string to float: 'fast'"),
+    ("link 0 1 1 1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("wat 0 0 0 0", "unknown record 'wat'"),
+])
+def test_import_error_names_the_line_and_the_fault(record, message):
+    with pytest.raises(EdgeListParseError) as err:
+        import_edge_list(IMPORT_HEAD + record + "\n")
+    assert err.value.line_no == 6
+    assert str(err.value) == f"line 6: {message}"
+
+
+def test_import_skips_blank_and_comment_lines():
+    topo = import_edge_list(IMPORT_HEAD + "  # a link\nlink 0 1 1 10\n\n")
+    assert export_edge_list(topo) == "node 0 host 1 -\nnode 1 switch 4 -\nlink 0 1 1 10\n"
+
+
 # --- multi-source BFS --------------------------------------------------------
 
 
