@@ -679,10 +679,15 @@ def test_size_parameter_must_be_an_int(builder, args, kwargs, name):
 
 
 def builder_digest(topo):
-    """First 16 hex digits of the sha256 of everything a builder returns:
-    nodes (labels and addresses included), links in order, builder_params
-    and taxonomy."""
-    record = (topo.nodes, topo.links, sorted(topo.builder_params.items()), topo.taxonomy)
+    """First 16 hex digits of the sha256 of everything a builder returns: each
+    node's kind, radix and address in position order, the links in order as
+    plain tuples, the sorted builder_params and the taxonomy. Record field
+    names stay out, so the digest pins values, not the record type."""
+    nodes = [
+        (n.kind.value, n.radix, n.address.digits, n.address.scheme.value) for n in topo.nodes
+    ]
+    links = [tuple(link) for link in topo.links]
+    record = (nodes, links, sorted(topo.builder_params.items()), topo.taxonomy)
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
 
 
@@ -696,103 +701,103 @@ def jellyfish_expanded(num_switches, ports, r, seed, *expansion_seeds):
 # (builder, args, digest). Link order is pinned because the simulator's
 # round-robin arbitration follows it.
 GOLDEN = [
-    (build_fat_tree, (2,), "a5bc53da1c1a0af2"),
-    (build_fat_tree, (4,), "18b308326c563ce9"),
-    (build_fat_tree, (4, 1), "4e435ccf42f96e64"),
-    (build_fat_tree, (4, 3), "20449af39a29fad3"),
-    (build_fat_tree, (6,), "64dbbd83425b47db"),
-    (build_fat_tree, (6, 2), "5762470c3fed96c6"),
-    (build_fat_tree, (8, 1), "e8543b7f52861020"),
-    (build_f10, (4,), "33c7693e4e18ae79"),
-    (build_f10, (4, 1), "a795b5a9f7baf8cf"),
-    (build_f10, (6,), "162304f5ed85096a"),
-    (build_f10, (6, 2), "5f9289a552f6049e"),
-    (build_f10, (8,), "b3d8c50b3cf966f1"),
-    (build_f10, (8, 1), "ee31bf1ae9659e84"),
-    (build_facebook_fabric, (2, 2, 1, 1), "7ddce04d39ef68fc"),
-    (build_facebook_fabric, (3, 2, 2, 1), "c91b0c3d4ed88e01"),
-    (build_facebook_fabric, (2, 2, 1, 2), "022d7aea584e34ca"),
-    (build_facebook_fabric, (48, 4, 1, 1), "7f4e61c48746f585"),
-    (build_facebook_fabric, (3, 2, 1, 2, 2.0, 8.0), "233635631dc2123e"),
-    (build_facebook_fabric, (5, 3, 3, 3), "052b4bebd79d0402"),
-    (build_dcell, (2, 0), "fb4593bd4d9e6aad"),
-    (build_dcell, (3, 0), "d2cf23af71f31eb6"),
-    (build_dcell, (2, 1), "6d270633605102f0"),
-    (build_dcell, (3, 1), "7cbc10f58b980d7b"),
-    (build_dcell, (4, 1), "467e77bb0d048c51"),
-    (build_dcell, (6, 1), "7e9767672af630d4"),
-    (build_dcell, (2, 2), "a843d42257d45862"),
-    (build_dcell, (3, 2), "ca4d8fcbcdbc40c6"),
-    (build_dcell, (2, 3), "228afdf6390fce82"),
-    (build_bcube, (2, 0), "5806ff09cc129873"),
-    (build_bcube, (3, 0), "851433bf93b26bee"),
-    (build_bcube, (2, 1), "9e2a685dbae4fd03"),
-    (build_bcube, (3, 1), "305bf6c2ea7abf2a"),
-    (build_bcube, (4, 1), "794fe16e517f7a2e"),
-    (build_bcube, (2, 2), "a32457b335e21c1c"),
-    (build_bcube, (3, 2), "f977397a3ba563ae"),
-    (build_bcube, (2, 3), "5bdc1b9eec4d6e6b"),
-    (build_bcube, (4, 2), "e4fe41f0c4101459"),
-    (build_mdcube, (1, 1, 2, 1), "4c703d32917eda6c"),
-    (build_mdcube, (1, 2, 2, 1), "420d0c0e0eb71ed6"),
-    (build_mdcube, (2, 1, 2, 1), "7887efc2c4013a30"),
-    (build_mdcube, (1, 3, 2, 1), "180150036385ce2c"),
-    (build_mdcube, (2, 2, 2, 1), "18ffeb2672d444ee"),
-    (build_mdcube, (2, 3, 2, 1), "d489e8f2a5d99df9"),
-    (build_mdcube, (3, 3, 2, 1), "50d7a20e9cf9a0c2"),
-    (build_mdcube, (1, 5, 2, 1), "cf1334f9fadb54e9"),
-    (build_mdcube, (3, 4, 3, 1), "453511758d685869"),
-    (build_mdcube, (2, 3, 2, 2), "ead65ead8042e055"),
-    (build_mdcube, (4, 4, 2, 2), "4f5a0f2a36e7a865"),
-    (build_mdcube, (1, 2, 2, 0), "1f848f63c503385c"),
-    (build_mdcube, (2, 1, 2, 0), "6cccf7b0208b915e"),
-    (build_mdcube, (2, 2, 4, 1), "3c4561b2cfb54625"),
-    (build_jellyfish, (10, 4, 3, 0), "0ccc8d6c2789c194"),
-    (build_jellyfish, (10, 4, 3, 1), "0530f8ca53a9276c"),
-    (build_jellyfish, (12, 6, 3, 3), "f9a36e5929a1a371"),
-    (build_jellyfish, (8, 5, 4, 0), "7e36eb0b1739de84"),
-    (build_jellyfish, (6, 3, 2, 1), "d989861958de27d5"),
-    (build_jellyfish, (16, 8, 5, 2), "d36078f8c2e8a345"),
-    (build_jellyfish, (20, 6, 4, 7), "dee2979967dc9ec5"),
+    (build_fat_tree, (2,), "43bb0679eca435bb"),
+    (build_fat_tree, (4,), "3674ac24c928b9cd"),
+    (build_fat_tree, (4, 1), "b19252b4f9b0f381"),
+    (build_fat_tree, (4, 3), "34318c3319f92b7f"),
+    (build_fat_tree, (6,), "8625374775feda14"),
+    (build_fat_tree, (6, 2), "b355d7bac4ab052d"),
+    (build_fat_tree, (8, 1), "1c761f7b27c0ee65"),
+    (build_f10, (4,), "65e03aa0c1806083"),
+    (build_f10, (4, 1), "c23d1b0287aaecd1"),
+    (build_f10, (6,), "b1a9e1c4e0f76496"),
+    (build_f10, (6, 2), "7e0b4dd2133aad34"),
+    (build_f10, (8,), "a1fd4d9378db6724"),
+    (build_f10, (8, 1), "0a30574404f579bd"),
+    (build_facebook_fabric, (2, 2, 1, 1), "903182a4344de526"),
+    (build_facebook_fabric, (3, 2, 2, 1), "4be588533017baf6"),
+    (build_facebook_fabric, (2, 2, 1, 2), "11183df861955b65"),
+    (build_facebook_fabric, (48, 4, 1, 1), "2d0eca9684884ec5"),
+    (build_facebook_fabric, (3, 2, 1, 2, 2.0, 8.0), "ac694c2336378d7a"),
+    (build_facebook_fabric, (5, 3, 3, 3), "bc5953e5dfe9e4c4"),
+    (build_dcell, (2, 0), "1df9d337f7f116e6"),
+    (build_dcell, (3, 0), "ff82d2735e70b9f4"),
+    (build_dcell, (2, 1), "5d6ec4766f452a92"),
+    (build_dcell, (3, 1), "5b08707848a8b57c"),
+    (build_dcell, (4, 1), "eaa196d2af3847aa"),
+    (build_dcell, (6, 1), "3ea1f739ed8a8866"),
+    (build_dcell, (2, 2), "fca182af09b5b0e0"),
+    (build_dcell, (3, 2), "b62a77b3081f713b"),
+    (build_dcell, (2, 3), "23a034d6f1e77217"),
+    (build_bcube, (2, 0), "5b221b185f0f9dbb"),
+    (build_bcube, (3, 0), "804de689d18e17cc"),
+    (build_bcube, (2, 1), "c4729d3f67178a94"),
+    (build_bcube, (3, 1), "606c9c0e6df47b13"),
+    (build_bcube, (4, 1), "db9d3d86311024ba"),
+    (build_bcube, (2, 2), "44736326bce2e138"),
+    (build_bcube, (3, 2), "766410945b9f0522"),
+    (build_bcube, (2, 3), "db4771b4cc2095aa"),
+    (build_bcube, (4, 2), "ae285b2dc1848101"),
+    (build_mdcube, (1, 1, 2, 1), "2f8fad2ec9a171fe"),
+    (build_mdcube, (1, 2, 2, 1), "e7649cff730afe1d"),
+    (build_mdcube, (2, 1, 2, 1), "3626d8cc92277ae5"),
+    (build_mdcube, (1, 3, 2, 1), "9ea12fc276a28e48"),
+    (build_mdcube, (2, 2, 2, 1), "a8132234652fc7bd"),
+    (build_mdcube, (2, 3, 2, 1), "0fa37b82a4c38435"),
+    (build_mdcube, (3, 3, 2, 1), "ce3383a559cb7815"),
+    (build_mdcube, (1, 5, 2, 1), "c315f3569ba2b019"),
+    (build_mdcube, (3, 4, 3, 1), "48d84e066e95c19c"),
+    (build_mdcube, (2, 3, 2, 2), "f7cf21ead212721d"),
+    (build_mdcube, (4, 4, 2, 2), "3c29f587b1373f6e"),
+    (build_mdcube, (1, 2, 2, 0), "58888a0e38dc80d8"),
+    (build_mdcube, (2, 1, 2, 0), "04ecf53f9f266aca"),
+    (build_mdcube, (2, 2, 4, 1), "40c236b30c6d1098"),
+    (build_jellyfish, (10, 4, 3, 0), "1db0a1170ded910e"),
+    (build_jellyfish, (10, 4, 3, 1), "562779fffe9805d0"),
+    (build_jellyfish, (12, 6, 3, 3), "8e50c9346503c6d0"),
+    (build_jellyfish, (8, 5, 4, 0), "837998632915faf1"),
+    (build_jellyfish, (6, 3, 2, 1), "0b8c628b823e7c92"),
+    (build_jellyfish, (16, 8, 5, 2), "6ddfc422a53f9df1"),
+    (build_jellyfish, (20, 6, 4, 7), "4a141d99d0aeaa61"),
     # the instances perfbench builds
-    (build_jellyfish, (200, 12, 8, 1), "18c37a40ec936d9b"),
-    (build_jellyfish, (200, 12, 8, 2), "63fb73a457ba1eb3"),
-    (build_jellyfish, (200, 12, 8, 3), "050ac2ef4f68b5d4"),
-    (build_jellyfish, (50, 8, 5, 0), "601c40cc6f315514"),
-    (jellyfish_expanded, (10, 4, 3, 1, 2), "3f9b27d4d935cf44"),
-    (jellyfish_expanded, (10, 4, 3, 1, 2, 9), "786082ef5168e8a6"),
-    (jellyfish_expanded, (6, 3, 2, 1, 0, 1), "18a1fc4be75d7ec7"),
-    (jellyfish_expanded, (8, 5, 4, 0, 1, 2), "b240c0dba8385583"),
-    (jellyfish_expanded, (12, 6, 3, 3, 4, 5), "53a0c95e53a21dc2"),
-    (jellyfish_expanded, (16, 8, 5, 2, 3, 3), "6955be22b672b0a6"),
-    (build_scafida, (1, 2, 4), "11d5c4f78fa5350d"),
-    (build_scafida, (5, 0, 3), "26724826ac3882e4"),
-    (build_scafida, (6, 6, 8), "5e750a6a3135e17d"),
-    (build_scafida, (30, 40, 12), "8cdecf88d45bf12d"),
-    (build_scafida, (40, 80, 16), "803bb59bf0b86054"),
-    (build_scafida, (50, 0, 5), "5e7d46b558e251a7"),
-    (build_scafida, (12, 10, 10, 4, 1, 3), "e0c095de88d0114a"),
-    (build_hcn, (2, 0), "6515ac4b6869e58c"),
-    (build_hcn, (4, 0), "e1af4d7049d80233"),
-    (build_hcn, (2, 1), "5068975782dd7e46"),
-    (build_hcn, (2, 2), "bab65d0c03da9fec"),
-    (build_hcn, (2, 3), "902d1c61dc9a2a77"),
-    (build_hcn, (3, 1), "0254b673e44a396d"),
-    (build_hcn, (3, 2), "1e4e4500e4741927"),
-    (build_hcn, (4, 1), "a584374a91e1adec"),
-    (build_hcn, (4, 2), "a44d199d2b7143e1"),
-    (build_bcn, (1, 1, 0), "4c4508748e062f7c"),
-    (build_bcn, (1, 2, 1), "81c1a122de410f21"),
-    (build_bcn, (1, 1, 2), "3b890ac9eb81291b"),
-    (build_bcn, (2, 0, 1), "a1d4e4ee86c50224"),
-    (build_bcn, (2, 2, 0), "4dc0aa3590ebc79a"),
-    (build_bcn, (2, 1, 1), "77f66876a223dea6"),
-    (build_bcn, (2, 2, 2), "e00fdeb891f4dfaf"),
-    (build_bcn, (3, 1, 1), "a36319423fb2a637"),
-    (build_bcn, (3, 2, 1), "6e3d15a22c016f8a"),
-    (build_bcn, (4, 1, 1), "a0375323017354d9"),
-    (build_bcn, (4, 1, 2), "e84f09be6441497f"),
-    (build_bcn, (2, 3, 3), "4c6f6f8e44d7ff5e"),
+    (build_jellyfish, (200, 12, 8, 1), "8a31f3429c4da816"),
+    (build_jellyfish, (200, 12, 8, 2), "58c96af7886e6d06"),
+    (build_jellyfish, (200, 12, 8, 3), "40cdc6ed4a97b134"),
+    (build_jellyfish, (50, 8, 5, 0), "6ff7fd07154ee235"),
+    (jellyfish_expanded, (10, 4, 3, 1, 2), "00a40b6acf07f104"),
+    (jellyfish_expanded, (10, 4, 3, 1, 2, 9), "f4b8ec51fd2ec1d5"),
+    (jellyfish_expanded, (6, 3, 2, 1, 0, 1), "fb85aa7a738e84e2"),
+    (jellyfish_expanded, (8, 5, 4, 0, 1, 2), "10ece7e2c577c29d"),
+    (jellyfish_expanded, (12, 6, 3, 3, 4, 5), "cebf1dee876eb147"),
+    (jellyfish_expanded, (16, 8, 5, 2, 3, 3), "777a8f6fb3fedfc5"),
+    (build_scafida, (1, 2, 4), "fc6caadf41367605"),
+    (build_scafida, (5, 0, 3), "834e15d9330aa9a8"),
+    (build_scafida, (6, 6, 8), "dc38168573f5d5b6"),
+    (build_scafida, (30, 40, 12), "80682ed5a2393ae0"),
+    (build_scafida, (40, 80, 16), "7023583586015ec6"),
+    (build_scafida, (50, 0, 5), "15e5c1fb205650e0"),
+    (build_scafida, (12, 10, 10, 4, 1, 3), "04a5d6f841b13d05"),
+    (build_hcn, (2, 0), "e5215118b26817e4"),
+    (build_hcn, (4, 0), "6746e2477a240cfd"),
+    (build_hcn, (2, 1), "c6de9e26aa5f0786"),
+    (build_hcn, (2, 2), "62ec2dd23c0c1f51"),
+    (build_hcn, (2, 3), "6e32001a6807dbb6"),
+    (build_hcn, (3, 1), "3ddae7f2f7caecee"),
+    (build_hcn, (3, 2), "3c239daa153322b8"),
+    (build_hcn, (4, 1), "790bb6d7f61facbc"),
+    (build_hcn, (4, 2), "448c83157dc17559"),
+    (build_bcn, (1, 1, 0), "406ec4d7cb942a7f"),
+    (build_bcn, (1, 2, 1), "173121bc1fb09963"),
+    (build_bcn, (1, 1, 2), "e7631194da815422"),
+    (build_bcn, (2, 0, 1), "1885590483186033"),
+    (build_bcn, (2, 2, 0), "bc47e3f1412e6010"),
+    (build_bcn, (2, 1, 1), "e0cc8ea4b154eae4"),
+    (build_bcn, (2, 2, 2), "e31d4c737975a75f"),
+    (build_bcn, (3, 1, 1), "2eb04fa20db886ee"),
+    (build_bcn, (3, 2, 1), "0e0651b0932bb96f"),
+    (build_bcn, (4, 1, 1), "057f6d75d09f98d8"),
+    (build_bcn, (4, 1, 2), "793d25ee5c297f04"),
+    (build_bcn, (2, 3, 3), "56aba4900af19941"),
 ]
 
 
