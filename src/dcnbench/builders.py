@@ -66,13 +66,10 @@ def _capped_power(base: int, exp: int, what: str) -> int:
 
 
 def _flat_nodes(num_hosts: int, host_radix: int, num_switches: int, switch_radix: int) -> list[Node]:
-    """Hosts ``h<i>`` then switches ``sw<s>``, all with flat addresses."""
-    nodes = [Node(i, NodeKind.HOST, host_radix, label=f"h{i}") for i in range(num_hosts)]
-    nodes += [
-        Node(num_hosts + s, NodeKind.SWITCH, switch_radix, label=f"sw{s}")
-        for s in range(num_switches)
-    ]
-    return nodes
+    """Hosts then switches, all with flat addresses: one shared record per
+    kind, since a record holds no id and cannot be assigned."""
+    host, switch = Node(NodeKind.HOST, host_radix), Node(NodeKind.SWITCH, switch_radix)
+    return [host] * num_hosts + [switch] * num_switches
 
 
 FAT_TREE_TAXONOMY = TaxonomyRecord(
@@ -165,36 +162,25 @@ def _fat_tree_family(
     for p in range(k):
         for e in range(half):
             for h in range(hosts_per_edge):
-                nid = (p * half + e) * hosts_per_edge + h
                 nodes.append(
-                    Node(
-                        nid,
-                        NodeKind.HOST,
-                        1,
-                        Address((0, p, e, h), AddressScheme.FAT_TREE_POD),
-                        label=f"h-p{p}e{e}n{h}",
-                    )
+                    Node(NodeKind.HOST, 1, Address((0, p, e, h), AddressScheme.FAT_TREE_POD))
                 )
-    for layer, base, name, letter in ((1, edge_base, "edge", "e"), (2, agg_base, "agg", "a")):
+    for layer in (1, 2):  # edge, then aggregation
         for p in range(k):
             for i in range(half):
                 nodes.append(
                     Node(
-                        base + p * half + i,
                         NodeKind.SWITCH,
                         switch_radix,
                         Address((layer, p, i, 0), AddressScheme.FAT_TREE_POD),
-                        label=f"{name}-p{p}{letter}{i}",
                     )
                 )
     for c in range(half * half):
         nodes.append(
             Node(
-                core_base + c,
                 NodeKind.SWITCH,
                 switch_radix,
                 Address((3, k, c // half, c % half), AddressScheme.FAT_TREE_POD),
-                label=f"core-{c}",
             )
         )
     links = []
@@ -282,27 +268,19 @@ def build_facebook_fabric(
     nodes = []
     for e in range(edge_switches):
         for h in range(hosts_per_edge):
-            nid = e * hosts_per_edge + h
-            nodes.append(
-                Node(nid, NodeKind.HOST, 1,
-                     Address((0, 0, e, h), AddressScheme.FAT_TREE_POD),
-                     label=f"h-e{e}n{h}")
-            )
+            nodes.append(Node(NodeKind.HOST, 1, Address((0, 0, e, h), AddressScheme.FAT_TREE_POD)))
     edge_base = num_hosts
     edge_radix = hosts_per_edge + planes * agg_switches
     for e in range(edge_switches):
         nodes.append(
-            Node(edge_base + e, NodeKind.SWITCH, edge_radix,
-                 Address((1, 0, e, 0), AddressScheme.FAT_TREE_POD),
-                 label=f"edge-{e}")
+            Node(NodeKind.SWITCH, edge_radix, Address((1, 0, e, 0), AddressScheme.FAT_TREE_POD))
         )
     agg_base = edge_base + edge_switches
     for pl in range(planes):
         for a in range(agg_switches):
             nodes.append(
-                Node(agg_base + pl * agg_switches + a, NodeKind.SWITCH, edge_switches,
-                     Address((2, pl, a, 0), AddressScheme.FAT_TREE_POD),
-                     label=f"agg-pl{pl}a{a}")
+                Node(NodeKind.SWITCH, edge_switches,
+                     Address((2, pl, a, 0), AddressScheme.FAT_TREE_POD))
             )
     links = []
     for e in range(edge_switches):
@@ -387,16 +365,12 @@ def build_dcell(n: int, level: int) -> Topology:
     nodes = []
     for uid in range(num_hosts):
         nodes.append(
-            Node(uid, NodeKind.HOST, level + 1,
-                 Address(digits_of(uid), AddressScheme.DCELL_COORD),
-                 label=f"h{uid}")
+            Node(NodeKind.HOST, level + 1, Address(digits_of(uid), AddressScheme.DCELL_COORD))
         )
     for c in range(num_switches):
         prefix = digits_of(c * n)[:-1]
         nodes.append(
-            Node(num_hosts + c, NodeKind.SWITCH, n,
-                 Address(prefix + (n,), AddressScheme.DCELL_COORD),
-                 label=f"sw{c}")
+            Node(NodeKind.SWITCH, n, Address(prefix + (n,), AddressScheme.DCELL_COORD))
         )
     links = []
     for uid in range(num_hosts):
@@ -430,24 +404,11 @@ def _base_digits(x: int, n: int, count: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _bcube_parts(n: int, k: int):
-    """Node and link lists for one BCube(n, k), ids starting at 0 hosts-first."""
+def _bcube_links(n: int, k: int) -> list[Link]:
+    """Links of one BCube(n, k), hosts-first: the n^(k+1) hosts are ids
+    0.., then the level-0 switches, the level-1 switches and so on."""
     num_hosts = n ** (k + 1)
     per_level = n**k
-    nodes = []
-    for uid in range(num_hosts):
-        nodes.append(
-            Node(uid, NodeKind.HOST, k + 1,
-                 Address(_base_digits(uid, n, k + 1), AddressScheme.BCUBE_DIGITS),
-                 label=f"h{uid}")
-        )
-    for i in range(k + 1):
-        for m in range(per_level):
-            nodes.append(
-                Node(num_hosts + i * per_level + m, NodeKind.SWITCH, n,
-                     Address((i,) + _base_digits(m, n, k), AddressScheme.BCUBE_DIGITS),
-                     label=f"sw-l{i}-{m}")
-            )
     links = []
     for i in range(k + 1):
         stride = n**i
@@ -458,7 +419,7 @@ def _bcube_parts(n: int, k: int):
             switch = num_hosts + i * per_level + m
             for d in range(n):
                 links.append(Link(base_uid + d * stride, switch))
-    return nodes, links
+    return links
 
 
 def build_bcube(n: int, k: int) -> Topology:
@@ -471,10 +432,21 @@ def build_bcube(n: int, k: int) -> Topology:
     what = f"bcube(n={n}, k={k})"
     num_hosts = _capped_power(n, k + 1, what)
     _check_cap(num_hosts + (k + 1) * n**k, what)
-    nodes, links = _bcube_parts(n, k)
+    nodes = []
+    for uid in range(num_hosts):
+        nodes.append(
+            Node(NodeKind.HOST, k + 1,
+                 Address(_base_digits(uid, n, k + 1), AddressScheme.BCUBE_DIGITS))
+        )
+    for i in range(k + 1):
+        for m in range(n**k):
+            nodes.append(
+                Node(NodeKind.SWITCH, n,
+                     Address((i,) + _base_digits(m, n, k), AddressScheme.BCUBE_DIGITS))
+            )
     return Topology(
         nodes,
-        links,
+        _bcube_links(n, k),
         taxonomy=BCUBE_TAXONOMY,
         builder_params={"builder": "bcube", "n": n, "k": k},
     )
@@ -499,23 +471,9 @@ def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
             f"{inter_per_container} inter-container ports"
         )
     _check_cap(containers * (per_hosts + per_switches), "mdcube")
-    bnodes, blinks = _bcube_parts(n, k)
-    nodes: list[Node] = []
+    blinks = _bcube_links(n, k)
     host_total = containers * per_hosts
-    for q in range(containers):
-        hbase = q * per_hosts
-        for node in bnodes[:per_hosts]:
-            nodes.append(
-                Node(hbase + node.id, NodeKind.HOST, node.radix,
-                     Address(), label=f"c{q}-{node.label}")
-            )
-    for q in range(containers):
-        sbase = host_total + q * per_switches
-        for node in bnodes[per_hosts:]:
-            nodes.append(
-                Node(sbase + (node.id - per_hosts), NodeKind.SWITCH, n + 1,
-                     Address(), label=f"c{q}-{node.label}")
-            )
+    nodes = _flat_nodes(host_total, k + 1, containers * per_switches, n + 1)
     links = []
     for q in range(containers):
         hbase = q * per_hosts

@@ -14,11 +14,13 @@ shortcut over interchangeable hosts through one twin rule,
 tree k=16 that drops 7 of every 8 hosts.
 
 The records :class:`Address`, :class:`Node` and :class:`Link` are named
-tuples. Their fields are read by name and cannot be assigned. A build makes
-one per node and link, and a named tuple takes less than half the time and
-memory of a frozen dataclass with the same fields. Like any tuple, a record
-also compares equal to a plain tuple of the same values, unpacks, and sorts
-field by field.
+tuples. Their fields are read by name and cannot be assigned. A named tuple
+takes less than half the time and memory of a frozen dataclass with the same
+fields. Like any tuple, a record also compares equal to a plain tuple of the
+same values, unpacks, and sorts field by field. A node record holds its
+kind, radix and address only: its id is its position, so nodes that differ
+in nothing else, such as the flat-addressed hosts of a Jellyfish, share one
+record.
 """
 
 from __future__ import annotations
@@ -62,13 +64,12 @@ class Address(NamedTuple):
 
 
 class Node(NamedTuple):
-    """A host or switch; ``id`` is its position in :attr:`Topology.nodes`."""
+    """A host or switch. Its id is its position in :attr:`Topology.nodes`,
+    which the record does not hold."""
 
-    id: int
     kind: NodeKind
     radix: int
     address: Address = Address()
-    label: str = ""
 
     @property
     def is_host(self) -> bool:
@@ -121,9 +122,10 @@ class Topology:
     :class:`Node` and :class:`Link`. ``adjacency[v]`` lists one ``(neighbor,
     capacity)`` pair per end of a link at ``v``, in link order, so a
     self-loop appears twice and parallel links once each; it is the one
-    capacitated adjacency that metrics read. A node whose ``id`` is not
-    its position in ``nodes``, or a link whose endpoint is not a node id,
-    raises :class:`TopologyError`.
+    capacitated adjacency that metrics read. A node's id is its position in
+    ``nodes``. A node whose ``kind`` is not a :class:`NodeKind`, such as one
+    built in an order other than ``(kind, radix, address)``, or a link whose
+    endpoint is not a node id, raises :class:`TopologyError`.
     Construction is single-threaded; once built, a topology is safe to
     share read-only across concurrent analyses.
     """
@@ -136,9 +138,11 @@ class Topology:
         builder_params: Optional[dict] = None,
     ):
         self.nodes: tuple[Node, ...] = tuple(nodes)
-        for position, node in enumerate(self.nodes):
-            if node.id != position:
-                raise TopologyError(f"node {node.id} is at position {position} of nodes")
+        for v, node in enumerate(self.nodes):
+            if node.kind is not _HOST and node.kind is not _SWITCH:
+                raise TopologyError(
+                    f"node {v} has kind {node.kind!r}; a Node is (kind, radix, address)"
+                )
         self.links: tuple[Link, ...] = tuple(links)
         self.taxonomy = taxonomy
         self.builder_params: dict = dict(builder_params or {})
@@ -160,11 +164,11 @@ class Topology:
 
     @cached_property
     def hosts(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.nodes if n.kind is _HOST)
+        return tuple(v for v, n in enumerate(self.nodes) if n.kind is _HOST)
 
     @cached_property
     def switches(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.nodes if n.kind is _SWITCH)
+        return tuple(v for v, n in enumerate(self.nodes) if n.kind is _SWITCH)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -223,12 +227,10 @@ def validate(topology: Topology) -> list[str]:
     """
     violations = []
     adjacency = topology.adjacency
-    for node in topology.nodes:  # two field reads beat unpacking all five
-        deg = len(adjacency[node.id])
+    for v, node in enumerate(topology.nodes):
+        deg = len(adjacency[v])
         if deg > node.radix:
-            violations.append(
-                f"radix exceeded: node {node.id} has degree {deg} > radix {node.radix}"
-            )
+            violations.append(f"radix exceeded: node {v} has degree {deg} > radix {node.radix}")
     seen_pairs = set()
     for idx, (a, b, capacity, latency) in enumerate(topology.links):
         if a == b:
@@ -248,14 +250,14 @@ def validate(topology: Topology) -> list[str]:
     if count > 1:
         violations.append(f"disconnected: {count} components")
     scheme_lengths: dict[AddressScheme, int] = {}
-    for node in topology.nodes:
+    for v, node in enumerate(topology.nodes):
         addr = node.address
         if addr.scheme is _FLAT and not addr.digits:
             continue
         want = scheme_lengths.setdefault(addr.scheme, len(addr.digits))
         if len(addr.digits) != want:
             violations.append(
-                f"address-scheme inconsistency: node {node.id} has "
+                f"address-scheme inconsistency: node {v} has "
                 f"{len(addr.digits)} digits, expected {want} for {addr.scheme.value}"
             )
     return violations
@@ -271,20 +273,21 @@ def export_edge_list(topology: Topology) -> str:
     """Serialize to the line-oriented edge-list format.
 
     One ``node <id> <kind> <radix> <address-digits>`` line per node in id
-    order, then one ``link <a> <b> <capacity> <latency>`` line per link in
-    insertion order.
+    (position) order, then one ``link <a> <b> <capacity> <latency>`` line
+    per link in insertion order.
 
     :func:`import_edge_list` reads back node order, kind, radix and address
     digits, and link order, endpoints, capacity and latency, so exporting
-    the imported topology gives the same text. The rest is lost: labels
-    become ``n<id>``, address schemes become flat, and the taxonomy and
+    the imported topology gives the same text, and a topology whose
+    addresses are all flat comes back with equal ``nodes`` and ``links``.
+    The rest is lost: address schemes become flat, and the taxonomy and
     builder parameters are dropped. A re-imported fat tree therefore routes
     by ECMP under ``"auto"``, and the ``"fat-tree"`` router rejects it.
     """
     lines = []
-    for node in topology.nodes:
+    for v, node in enumerate(topology.nodes):
         digits = ",".join(str(d) for d in node.address.digits) or "-"
-        lines.append(f"node {node.id} {node.kind.value} {node.radix} {digits}")
+        lines.append(f"node {v} {node.kind.value} {node.radix} {digits}")
     for link in topology.links:
         lines.append(
             f"link {link.a} {link.b} {_format_capacity(link.capacity)} {link.latency}"
@@ -296,7 +299,8 @@ def import_edge_list(text: str) -> Topology:
     """Parse the edge-list format back into a topology.
 
     The result carries no taxonomy (imported topologies are unclassified).
-    Raises :class:`EdgeListParseError` with the offending line number on
+    Node lines give ids 0, 1, 2, ... in order, as a node's id is its
+    position. Raises :class:`EdgeListParseError` with the offending line number on
     malformed input and :class:`ValidationError` if the parsed topology
     violates structural invariants (e.g. duplicate links).
     """
@@ -331,7 +335,7 @@ def import_edge_list(text: str) -> Topology:
                 raise EdgeListParseError(
                     line_no, f"node id {node_id} out of order (expected {len(nodes)})"
                 )
-            nodes.append(Node(node_id, kind, radix, Address(digits), label=f"n{node_id}"))
+            nodes.append(Node(kind, radix, Address(digits)))
         elif parts[0] == "link":
             if len(parts) != 5:
                 raise EdgeListParseError(line_no, f"expected 5 fields, got {len(parts)}")

@@ -32,8 +32,8 @@ def bfs_distances(topology, source):
 
 
 def _topology(num_hosts, num_switches, pairs):
-    nodes = [Node(i, NodeKind.HOST, 8) for i in range(num_hosts)]
-    nodes += [Node(num_hosts + j, NodeKind.SWITCH, 16) for j in range(num_switches)]
+    nodes = [Node(NodeKind.HOST, 8)] * num_hosts
+    nodes += [Node(NodeKind.SWITCH, 16)] * num_switches
     return Topology(nodes, [Link(a, b) for a, b in pairs])
 
 
@@ -64,7 +64,7 @@ def capacity_twins():
     neighbour list, but two twin classes, {0, 3} and {1, 2}. The bisection
     is 4 (hosts 0 and 3 against 1 and 2); treating all four as one class
     gives 5."""
-    nodes = [Node(i, NodeKind.HOST, 8) for i in range(4)] + [Node(4, NodeKind.SWITCH, 16)]
+    nodes = [Node(NodeKind.HOST, 8)] * 4 + [Node(NodeKind.SWITCH, 16)]
     return Topology(nodes, [Link(h, 4, cap) for h, cap in enumerate((3.0, 2.0, 2.0, 3.0))])
 
 

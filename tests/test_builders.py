@@ -27,8 +27,12 @@ from dcnbench.builders import (
 from dcnbench.graph import TopologyError
 
 
-def switch_labels(topo, prefix):
-    return [n for n in topo.nodes if n.kind is NodeKind.SWITCH and n.label.startswith(prefix)]
+def layer_switches(topo, layer):
+    """Ids of the fat-tree switches in ``layer``: 1 edge, 2 aggregation, 3 core."""
+    return [
+        v for v, n in enumerate(topo.nodes)
+        if n.kind is NodeKind.SWITCH and n.address.digits[0] == layer
+    ]
 
 
 # --- fat tree -----------------------------------------------------------
@@ -36,17 +40,17 @@ def switch_labels(topo, prefix):
 
 def test_fat_tree_k4_layer_counts():
     topo = build_fat_tree(4)
-    assert len(switch_labels(topo, "core")) == 4
-    assert len(switch_labels(topo, "agg")) == 8
-    assert len(switch_labels(topo, "edge")) == 8
+    assert len(layer_switches(topo, 3)) == 4
+    assert len(layer_switches(topo, 2)) == 8
+    assert len(layer_switches(topo, 1)) == 8
     assert topo.num_hosts == 16
 
 
 def test_fat_tree_k2_counts():
     topo = build_fat_tree(2)
-    assert len(switch_labels(topo, "core")) == 1
-    assert len(switch_labels(topo, "agg")) == 2
-    assert len(switch_labels(topo, "edge")) == 2
+    assert len(layer_switches(topo, 3)) == 1
+    assert len(layer_switches(topo, 2)) == 2
+    assert len(layer_switches(topo, 1)) == 2
     assert topo.num_hosts == 2
 
 
@@ -94,8 +98,8 @@ def test_facebook_paper_scale():
 def test_facebook_small_complete_bipartite():
     topo = build_facebook_fabric(2, 2, 1, 1)
     assert topo.num_hosts == 2
-    edges = {n.id for n in topo.nodes if n.label.startswith("edge")}
-    aggs = {n.id for n in topo.nodes if n.label.startswith("agg")}
+    edges = set(layer_switches(topo, 1))
+    aggs = set(layer_switches(topo, 2))
     fabric = {(l.a, l.b) for l in topo.links if l.a in edges and l.b in aggs}
     assert len(fabric) == 4
 
@@ -297,7 +301,7 @@ def test_join_components_keeps_degrees(seed):
     degrees = sorted(x for edge in edges for x in edge)
     _join_components(edges, 13, random.Random(seed))
     assert sorted(x for edge in edges for x in edge) == degrees
-    nodes = [Node(i, NodeKind.SWITCH, 3) for i in range(13)]
+    nodes = [Node(NodeKind.SWITCH, 3)] * 13
     # no self-loop, no repeated link, connected
     assert validate(Topology(nodes, [Link(u, v) for u, v in edges])) == []
 
@@ -539,15 +543,8 @@ def test_f10_counts_match_fat_tree():
 
 def test_f10_type_a_b_wiring_differs():
     topo = build_f10(4)
-    aggs = {
-        n.address.digits[1:3]: n.id
-        for n in topo.nodes
-        if n.kind is NodeKind.SWITCH and n.address.digits[0] == 2
-    }
-    core_base = min(
-        n.id for n in topo.nodes
-        if n.kind is NodeKind.SWITCH and n.address.digits[0] == 3
-    )
+    aggs = {topo.nodes[v].address.digits[1:3]: v for v in layer_switches(topo, 2)}
+    core_base = min(layer_switches(topo, 3))
     cores_of = {
         key: sorted(
             nb - core_base for nb in topo.neighbors[aid]

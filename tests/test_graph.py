@@ -20,11 +20,15 @@ from dcnbench.graph import (
 )
 from dcnbench.builders import (
     PRESETS,
+    build_bcn,
     build_dcell,
     build_facebook_fabric,
     build_fat_tree,
+    build_hcn,
     build_jellyfish,
+    build_mdcube,
     build_preset,
+    build_scafida,
 )
 from dcnbench.routing import resolve_routing_mode, route_provider
 
@@ -40,15 +44,15 @@ from hand_topologies import (
 
 
 def star(num_hosts, capacity=1.0):
-    nodes = [Node(i, NodeKind.HOST, 1, label=f"h{i}") for i in range(num_hosts)]
-    nodes.append(Node(num_hosts, NodeKind.SWITCH, num_hosts, label="sw"))
+    nodes = [Node(NodeKind.HOST, 1)] * num_hosts
+    nodes.append(Node(NodeKind.SWITCH, num_hosts))
     links = [Link(i, num_hosts, capacity) for i in range(num_hosts)]
     return Topology(nodes, links)
 
 
 RECORDS = [
     Address((1, 2), AddressScheme.BCUBE_DIGITS),
-    Node(0, NodeKind.HOST, 1, Address((1, 2), AddressScheme.BCUBE_DIGITS), "h0"),
+    Node(NodeKind.HOST, 1, Address((1, 2), AddressScheme.BCUBE_DIGITS)),
     Link(0, 1, 2.0, 3),
 ]
 
@@ -66,10 +70,11 @@ def test_records_are_immutable(record, field):
 def test_record_defaults():
     link = Link(0, 1)
     assert link.capacity == 1.0 and link.latency == 10
-    node = Node(0, NodeKind.SWITCH, 4)
+    node = Node(NodeKind.SWITCH, 4)
     assert node.address == Address() and node.address.digits == ()
     assert node.address.scheme is AddressScheme.FLAT
-    assert node.label == "" and not node.is_host
+    assert not node.is_host
+    assert Node._fields == ("kind", "radix", "address")
 
 
 def test_fat_tree_k4_validates_clean():
@@ -84,10 +89,10 @@ def test_single_switch_one_host_clean():
 
 def test_radix_exceeded_reported():
     nodes = [
-        Node(0, NodeKind.HOST, 2),
-        Node(1, NodeKind.SWITCH, 4),
-        Node(2, NodeKind.SWITCH, 4),
-        Node(3, NodeKind.SWITCH, 4),
+        Node(NodeKind.HOST, 2),
+        Node(NodeKind.SWITCH, 4),
+        Node(NodeKind.SWITCH, 4),
+        Node(NodeKind.SWITCH, 4),
     ]
     links = [Link(0, 1), Link(0, 2), Link(0, 3)]
     report = validate(Topology(nodes, links))
@@ -95,7 +100,7 @@ def test_radix_exceeded_reported():
 
 
 def test_self_loop_and_duplicate_reported():
-    nodes = [Node(0, NodeKind.SWITCH, 4), Node(1, NodeKind.SWITCH, 4)]
+    nodes = [Node(NodeKind.SWITCH, 4), Node(NodeKind.SWITCH, 4)]
     report = validate(Topology(nodes, [Link(0, 1), Link(1, 0), Link(0, 0)]))
     assert any("duplicate link" in v for v in report)
     assert any("self-loop" in v for v in report)
@@ -107,13 +112,13 @@ def test_self_loop_and_duplicate_reported():
     ((float("-inf"), 1.0), ["non-positive capacity on link 0"]),
 ], ids=["one-infinite", "both-infinite", "minus-infinite"])
 def test_infinite_capacity_reported(capacities, report):
-    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1), Node(2, NodeKind.SWITCH, 2)]
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 1), Node(NodeKind.SWITCH, 2)]
     links = [Link(h, 2, capacity) for h, capacity in enumerate(capacities)]
     assert validate(Topology(nodes, links)) == report
 
 
 def test_disconnected_reported():
-    nodes = [Node(0, NodeKind.SWITCH, 4), Node(1, NodeKind.SWITCH, 4)]
+    nodes = [Node(NodeKind.SWITCH, 4), Node(NodeKind.SWITCH, 4)]
     report = validate(Topology(nodes, []))
     assert any("disconnected" in v for v in report)
 
@@ -133,21 +138,21 @@ def test_component_count(topology, count):
 def test_link_endpoint_outside_node_ids_rejected(stray):
     # kept in ``links`` but left out of the adjacency, such a link would pass
     # validate and make later metrics and simulations index past the end
-    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 2), Node(2, NodeKind.SWITCH, 2)]
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 2), Node(NodeKind.SWITCH, 2)]
     with pytest.raises(TopologyError, match=f"link 2 \\({stray.a}-{stray.b}\\)"):
         Topology(nodes, [Link(0, 2), Link(1, 2), stray])
 
 
-@pytest.mark.parametrize("ids", [(1, 0, 2), (5, 1, 2), (0, 2, 1)],
-                         ids=["kinds-disagree", "id-past-end", "last-two-swapped"])
-def test_node_id_must_be_its_position(ids):
-    # hosts are listed by id and kinds read by position: (1, 0, 2) would call
-    # switch 1 a host, and (5, 1, 2) failed in validate with an IndexError
-    kinds = (NodeKind.HOST, NodeKind.SWITCH, NodeKind.HOST)
-    nodes = [Node(i, kind, 2) for i, kind in zip(ids, kinds)]
-    first = next(p for p, i in enumerate(ids) if i != p)
-    with pytest.raises(TopologyError, match=f"node {ids[first]} is at position {first} "):
-        Topology(nodes, [Link(0, 1), Link(1, 2)])
+@pytest.mark.parametrize("stray", [
+    Node(0, NodeKind.HOST, 1),  # the order before records dropped their id
+    Node("host", 1),
+    Node(None, 2),
+], ids=["id-first", "kind-value", "no-kind"])
+def test_node_kind_must_be_a_node_kind(stray):
+    # a node of any other kind would drop out of both hosts and switches
+    nodes = [Node(NodeKind.HOST, 1), stray, Node(NodeKind.SWITCH, 2)]
+    with pytest.raises(TopologyError, match=f"^node 1 has kind {stray.kind!r}; a Node is "):
+        Topology(nodes, [Link(0, 2), Link(1, 2)])
 
 
 def test_export_star_line_counts():
@@ -173,15 +178,27 @@ def test_round_trip_keeps_structure(name):
     text = export_edge_list(topo)
     again = import_edge_list(text)
     assert export_edge_list(again) == text
-    assert [(n.id, n.kind, n.radix, n.address.digits) for n in again.nodes] == [
-        (n.id, n.kind, n.radix, n.address.digits) for n in topo.nodes
-    ]
+    # kind, radix and address digits per position; the scheme becomes flat
+    assert list(again.nodes) == [n._replace(address=Address(n.address.digits)) for n in topo.nodes]
     assert again.links == topo.links  # endpoints, capacity and latency, in order
     # what the format does not carry
-    assert [n.label for n in again.nodes] == [f"n{i}" for i in range(topo.num_nodes)]
     assert {n.address.scheme for n in again.nodes} == {AddressScheme.FLAT}
     assert again.taxonomy is None
     assert again.builder_params == {"builder": "imported"}
+
+
+@pytest.mark.parametrize("topo", [
+    build_jellyfish(12, 6, 3, seed=3),
+    build_scafida(12, 10, 10, seed=4),
+    build_hcn(3, 1),
+    build_bcn(2, 1, 1),
+    build_mdcube(2, 2, 2, 1),
+], ids=lambda t: t.name())
+def test_round_trip_keeps_flat_nodes(topo):
+    # the builders that give every node a flat address lose no node field
+    again = import_edge_list(export_edge_list(topo))
+    assert again.nodes == topo.nodes
+    assert again.links == topo.links
 
 
 def test_round_trip_loses_the_fat_tree_router():
@@ -294,7 +311,7 @@ def test_import_skips_blank_and_comment_lines():
 
 
 def line(num_nodes):
-    nodes = [Node(i, NodeKind.SWITCH, 2) for i in range(num_nodes)]
+    nodes = [Node(NodeKind.SWITCH, 2)] * num_nodes
     return Topology(nodes, [Link(i, i + 1) for i in range(num_nodes - 1)])
 
 

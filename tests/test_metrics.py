@@ -53,16 +53,16 @@ from hand_topologies import (
 
 
 def star(num_hosts, capacity=1.0):
-    nodes = [Node(i, NodeKind.HOST, 1) for i in range(num_hosts)]
-    nodes.append(Node(num_hosts, NodeKind.SWITCH, num_hosts))
+    nodes = [Node(NodeKind.HOST, 1)] * num_hosts
+    nodes.append(Node(NodeKind.SWITCH, num_hosts))
     return Topology(nodes, [Link(i, num_hosts, capacity) for i in range(num_hosts)])
 
 
 def dumbbell(hosts_per_side):
     """Two switches joined by one unit link, hosts_per_side hosts each."""
     total = 2 * hosts_per_side
-    nodes = [Node(i, NodeKind.HOST, 1) for i in range(total)]
-    nodes += [Node(total, NodeKind.SWITCH, 16), Node(total + 1, NodeKind.SWITCH, 16)]
+    nodes = [Node(NodeKind.HOST, 1)] * total
+    nodes += [Node(NodeKind.SWITCH, 16), Node(NodeKind.SWITCH, 16)]
     links = [Link(i, total) for i in range(hosts_per_side)]
     links += [Link(hosts_per_side + i, total + 1) for i in range(hosts_per_side)]
     links.append(Link(total, total + 1))
@@ -98,7 +98,7 @@ def test_jellyfish_beats_fat_tree_avg_path():
 
 
 def test_diameter_errors():
-    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1)]
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 1)]
     disconnected = Topology(nodes, [])
     with pytest.raises(TopologyError):
         host_diameter(disconnected)
@@ -245,8 +245,8 @@ def cached_reference_bisection(topology):
 
 def odd_dumbbell():
     """Hosts 0 and 1 on switch 5, hosts 2-4 on switch 6, one unit link between."""
-    nodes = [Node(i, NodeKind.HOST, 1) for i in range(5)]
-    nodes += [Node(5, NodeKind.SWITCH, 8), Node(6, NodeKind.SWITCH, 8)]
+    nodes = [Node(NodeKind.HOST, 1)] * 5
+    nodes += [Node(NodeKind.SWITCH, 8), Node(NodeKind.SWITCH, 8)]
     links = [Link(0, 5), Link(1, 5), Link(2, 6), Link(3, 6), Link(4, 6), Link(5, 6)]
     return Topology(nodes, links)
 
@@ -256,8 +256,8 @@ def unswappable_switches():
     also reach switches 7 and 8, which are linked; host 4 hangs off 7 too.
     5 and 6 agree on degree, host count and capacities, but 7 and 8 differ
     in degree, so no automorphism swaps 5 and 6."""
-    nodes = [Node(i, NodeKind.HOST, 2) for i in range(5)]
-    nodes += [Node(i, NodeKind.SWITCH, 4) for i in range(5, 9)]
+    nodes = [Node(NodeKind.HOST, 2)] * 5
+    nodes += [Node(NodeKind.SWITCH, 4)] * 4
     pairs = [(0, 5), (1, 5), (2, 6), (3, 6), (0, 7), (2, 8), (7, 8), (4, 7)]
     return Topology(nodes, [Link(a, b) for a, b in pairs])
 
@@ -469,7 +469,7 @@ def test_tiny_capacities_still_connect(capacity):
 def test_infinite_capacity_fails_every_bisection(capacities):
     # one infinite link once gave oversubscription inf, and two made
     # compute_metrics blame a bisection that the caller never supplied
-    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1), Node(2, NodeKind.SWITCH, 2)]
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 1), Node(NodeKind.SWITCH, 2)]
     topo = Topology(nodes, [Link(h, 2, capacity) for h, capacity in enumerate(capacities)])
     for call in (bisection_bandwidth_exact, bisection_bandwidth_heuristic, compute_metrics):
         with pytest.raises(TopologyError, match=r"^link 0 \(0-2\) has infinite capacity$"):
@@ -480,7 +480,7 @@ def test_infinite_capacity_fails_every_bisection(capacities):
 def test_supplied_bisection_still_rejects_infinite_host_link(capacities):
     # a supplied bisection skips the cut solver and its check; the access
     # sum once came out inf here, and so did the ratio
-    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1), Node(2, NodeKind.SWITCH, 2)]
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 1), Node(NodeKind.SWITCH, 2)]
     topo = Topology(nodes, [Link(h, 2, capacity) for h, capacity in enumerate(capacities)])
     bad = capacities.index(INF)
     with pytest.raises(TopologyError, match=rf"^link {bad} \({bad}-2\) has infinite capacity$"):
@@ -564,8 +564,8 @@ def test_vdp_shared_switch():
 
 
 def test_vdp_two_switch_disjoint_paths():
-    nodes = [Node(0, NodeKind.HOST, 2), Node(1, NodeKind.HOST, 2),
-             Node(2, NodeKind.SWITCH, 2), Node(3, NodeKind.SWITCH, 2)]
+    nodes = [Node(NodeKind.HOST, 2), Node(NodeKind.HOST, 2),
+             Node(NodeKind.SWITCH, 2), Node(NodeKind.SWITCH, 2)]
     links = [Link(0, 2), Link(0, 3), Link(1, 2), Link(1, 3)]
     topo = Topology(nodes, links)
     assert vertex_disjoint_paths(topo, 0, 1) == 2
@@ -576,7 +576,7 @@ def test_vdp_fat_tree_edge_switches():
     # hosts have a single access link, so host-level vdp is 1
     assert vertex_disjoint_paths(topo, 0, 15) == 1
     # between edge switches of different pods the two uplinks limit vdp to 2
-    edges = [n.id for n in topo.nodes
+    edges = [v for v, n in enumerate(topo.nodes)
              if n.kind is NodeKind.SWITCH and n.address.digits[0] == 1]
     assert vertex_disjoint_paths(topo, edges[0], edges[-1]) == 2
 

@@ -53,8 +53,8 @@ from hand_topologies import (
 
 
 def line_topology():
-    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1),
-             Node(2, NodeKind.SWITCH, 2)]
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 1),
+             Node(NodeKind.SWITCH, 2)]
     return Topology(nodes, [Link(0, 2), Link(1, 2)])
 
 
@@ -128,7 +128,7 @@ def test_ecmp_tables_repeat_parallel_links():
 def test_ecmp_tables_reject_disconnected():
     with pytest.raises(TopologyError):
         compute_ecmp_tables(isolated_twins())
-    lone_switch = line_topology().nodes + (Node(3, NodeKind.SWITCH, 2),)
+    lone_switch = line_topology().nodes + (Node(NodeKind.SWITCH, 2),)
     with pytest.raises(TopologyError):
         compute_ecmp_tables(Topology(lone_switch, line_topology().links))
 
@@ -147,7 +147,7 @@ def test_linkless_twins_are_disconnected(call):
 
 def test_ecmp_tables_without_hosts_are_empty():
     # with no destination there is nothing to reach, connected or not
-    switches = [Node(0, NodeKind.SWITCH, 2), Node(1, NodeKind.SWITCH, 2)]
+    switches = [Node(NodeKind.SWITCH, 2), Node(NodeKind.SWITCH, 2)]
     assert compute_ecmp_tables(Topology(switches, [])) == [{}, {}]
 
 
@@ -447,7 +447,7 @@ def test_fat_tree_inter_pod_length_six_and_core_coverage():
         route = router(0, 15, rng)
         assert len(route) - 1 == 6
         cores_seen.add(route[3])
-    core_ids = {n.id for n in topo.nodes
+    core_ids = {v for v, n in enumerate(topo.nodes)
                 if n.kind is NodeKind.SWITCH and n.address.digits[0] == 3}
     assert cores_seen == core_ids
 
@@ -614,8 +614,8 @@ def test_fat_tree_same_failure_plus_four():
 
 
 def test_reroute_errors_when_no_alternative():
-    nodes = [Node(0, NodeKind.HOST, 1), Node(1, NodeKind.HOST, 1),
-             Node(2, NodeKind.SWITCH, 2)]
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 1),
+             Node(NodeKind.SWITCH, 2)]
     topo = Topology(nodes, [Link(0, 2), Link(1, 2)])
     with pytest.raises(TopologyError):
         f10_reroute(topo, 0, 1, 2)
