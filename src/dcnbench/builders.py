@@ -671,8 +671,13 @@ def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:
     """Add one switch to a jellyfish topology by repeatedly removing a random
     switch link (x, y) and adding (x, new) and (y, new), preserving existing
     switch degrees. The new switch has the topology's own ``ports`` and
-    ``r``, read from its ``builder_params``, and ``ports - r`` hosts; with
-    odd r it ends at r - 1 switch links.
+    ``r``, read from its ``builder_params``, and ``ports - r`` hosts.
+
+    With odd r the splits leave the new switch at r - 1 switch links. A
+    switch with fewer than r switch links, left so by an earlier expansion,
+    is kept out of the splits, and the new switch links to the first of
+    them: after an even number of expansions no switch port is idle, after
+    an odd number one is.
     """
     check_count("seed", seed, None)
     params = dict(topology.builder_params)
@@ -689,12 +694,18 @@ def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:
         for link in topology.links
         if link.a >= num_hosts and link.b >= num_hosts
     ]
+    links_of = [0] * num_switches
+    for u, v in switch_edges:
+        links_of[u] += 1
+        links_of[v] += 1
+    spare = [s for s in range(num_switches) if links_of[s] < r]
     new_switch = num_switches
-    new_neighbors: set[int] = set()  # two more per step, so its size is the new switch's degree
-    while len(new_neighbors) + 2 <= r:
+    excluded = set(spare)  # and the new switch's neighbours, so no link repeats
+    degree = 0
+    while degree + 2 <= r:
         candidates = [
             i for i, (u, v) in enumerate(switch_edges)
-            if u not in new_neighbors and v not in new_neighbors
+            if u not in excluded and v not in excluded
         ]
         if not candidates:
             raise TopologyError("no removable link available for expansion")
@@ -702,7 +713,10 @@ def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:
         u, v = switch_edges.pop(i)
         switch_edges.append((u, new_switch))
         switch_edges.append((v, new_switch))
-        new_neighbors.update((u, v))
+        excluded.update((u, v))
+        degree += 2
+    if degree < r and spare:
+        switch_edges.append((spare[0], new_switch))
     params["num_switches"] = num_switches + 1
     params["expanded"] = params.get("expanded", 0) + 1
     return _jellyfish_topology(switch_edges, num_switches + 1, ports, r, params)

@@ -414,6 +414,21 @@ def test_expand_jellyfish_preserves_degrees():
     assert validate(bigger) == []
 
 
+@pytest.mark.parametrize(
+    "num_switches, ports, r, seed", [(4, 4, 3, 0), (10, 4, 3, 1), (12, 6, 3, 3), (16, 8, 5, 2)]
+)
+def test_expand_jellyfish_odd_r_strands_at_most_one_port(num_switches, ports, r, seed):
+    # the splits give a new switch r - 1 links; the next one takes the idle
+    # port, where each expansion used to strand one more
+    topo = build_jellyfish(num_switches, ports, r, seed)
+    for expansion in range(1, 7):
+        topo = expand_jellyfish(topo, seed=seed + expansion)
+        assert validate(topo) == []
+        idle = sum(topo.nodes[v].radix - topo.degree(v) for v in topo.switches)
+        assert idle == expansion % 2
+    assert len(topo.links) == len(build_jellyfish(num_switches + 6, ports, r, seed).links)
+
+
 def test_expand_jellyfish_deterministic():
     topo = build_jellyfish(10, 4, 3, seed=1)
     a = export_edge_list(expand_jellyfish(topo, seed=9))
@@ -762,11 +777,11 @@ GOLDEN = [
     (build_jellyfish, (200, 12, 8, 3), "40cdc6ed4a97b134"),
     (build_jellyfish, (50, 8, 5, 0), "6ff7fd07154ee235"),
     (jellyfish_expanded, (10, 4, 3, 1, 2), "00a40b6acf07f104"),
-    (jellyfish_expanded, (10, 4, 3, 1, 2, 9), "f4b8ec51fd2ec1d5"),
+    (jellyfish_expanded, (10, 4, 3, 1, 2, 9), "acb5111073c3a521"),
     (jellyfish_expanded, (6, 3, 2, 1, 0, 1), "fb85aa7a738e84e2"),
     (jellyfish_expanded, (8, 5, 4, 0, 1, 2), "10ece7e2c577c29d"),
-    (jellyfish_expanded, (12, 6, 3, 3, 4, 5), "cebf1dee876eb147"),
-    (jellyfish_expanded, (16, 8, 5, 2, 3, 3), "777a8f6fb3fedfc5"),
+    (jellyfish_expanded, (12, 6, 3, 3, 4, 5), "ce8246fe56e15b2f"),
+    (jellyfish_expanded, (16, 8, 5, 2, 3, 3), "d5947bf02a7ebefa"),
     (build_scafida, (1, 2, 4), "fc6caadf41367605"),
     (build_scafida, (5, 0, 3), "834e15d9330aa9a8"),
     (build_scafida, (6, 6, 8), "dc38168573f5d5b6"),
