@@ -61,12 +61,15 @@ _PERMUTATION = PatternKind.PERMUTATION
 
 
 def _address_bits(n: int, bits: Optional[int], pattern: str) -> int:
-    """``bits`` checked to address only hosts ``0..n-1``, or derived from a
-    power-of-two ``n`` when omitted."""
+    """``bits`` checked to be an ``int`` (a ``bool`` is not one) that
+    addresses only hosts ``0..n-1``, or derived from a power-of-two ``n``
+    when omitted."""
     if bits is None:
         bits = n.bit_length() - 1
         if (1 << bits) != n:
             raise ValueError(f"{pattern} traffic needs a power-of-two host count, got {n}")
+    elif bits.__class__ is not int:
+        raise ValueError(f"{pattern} traffic needs an integer bits, got {bits!r}")
     elif bits < 1 or (1 << bits) > n:
         raise ValueError(f"{pattern} traffic on {bits} bits leaves hosts 0..{n - 1}")
     return bits
@@ -82,7 +85,8 @@ def pattern_destination(
     """Destination host index for ``src`` under ``pattern``.
 
     Bit complement/reverse operate on ``bits``-wide addresses (derived from
-    ``n`` when omitted); ``bits`` below 1 or with ``1 << bits > n`` raises
+    ``n`` when omitted); a ``bits`` that is not an ``int`` (``True`` and
+    ``2.0`` included), below 1 or with ``1 << bits > n`` raises
     :class:`ValueError`, as does a permutation that maps ``src`` outside
     ``0..n-1``, so the result is always a host index. Deterministic patterns
     may map a host to itself (e.g. palindromic addresses under bit
@@ -102,13 +106,13 @@ def pattern_destination(
     if kind is _TORNADO:
         return (src + (n - 1) // 2) % n
     # an explicit, valid ``bits`` is tested here; _address_bits derives a
-    # missing one and words the error for a bad one
+    # missing one and words the error for a bad one, a bool or a float too
     if kind is _COMPLEMENT:
-        if bits is None or bits < 1 or 1 << bits > n:
+        if bits.__class__ is not int or bits < 1 or 1 << bits > n:
             bits = _address_bits(n, bits, "bit complement")
         return ~src & ((1 << bits) - 1)
     if kind is _REVERSE:
-        if bits is None or bits < 1 or 1 << bits > n:
+        if bits.__class__ is not int or bits < 1 or 1 << bits > n:
             bits = _address_bits(n, bits, "bit reverse")
         # the low ``bits`` bits under a sentinel 1, whose binary text read
         # backwards, sentinel and "0b" cut off, is the reversed address

@@ -169,6 +169,15 @@ def test_destination_never_leaves_host_range(pattern, src, n, bits):
         pattern_destination(pattern, src, n, bits=bits)
 
 
+@pytest.mark.parametrize("bits", [True, False, 2.0, "2"])
+@pytest.mark.parametrize("pattern", [TrafficPattern.complement(), TrafficPattern.reverse()],
+                         ids=lambda p: p.kind.value)
+def test_bits_must_be_an_int(pattern, bits):
+    # True once passed as a 1-bit width and 2.0 raised a bare TypeError
+    with pytest.raises(ValueError, match=f"traffic needs an integer bits, got {bits!r}$"):
+        pattern_destination(pattern, 1, 8, bits=bits)
+
+
 def test_explicit_bits_may_address_a_subset():
     # a bits-wide address space inside n hosts stays within 0..n-1
     assert pattern_destination(TrafficPattern.complement(), 5, 6, bits=2) == 2
