@@ -300,9 +300,9 @@ def import_edge_list(text: str) -> Topology:
 
     The result carries no taxonomy (imported topologies are unclassified).
     Node lines give ids 0, 1, 2, ... in order, as a node's id is its
-    position. Raises :class:`EdgeListParseError` with the offending line number on
-    malformed input and :class:`ValidationError` if the parsed topology
-    violates structural invariants (e.g. duplicate links).
+    position. Raises :class:`EdgeListParseError` with the offending line
+    number on malformed input and :class:`ValidationError` if the parsed
+    topology violates structural invariants (e.g. duplicate links).
     """
     nodes: list[Node] = []
     links: list[Link] = []
