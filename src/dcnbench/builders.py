@@ -701,8 +701,7 @@ def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:
     spare = [s for s in range(num_switches) if links_of[s] < r]
     new_switch = num_switches
     excluded = set(spare)  # and the new switch's neighbours, so no link repeats
-    degree = 0
-    while degree + 2 <= r:
+    for _ in range(r // 2):
         candidates = [
             i for i, (u, v) in enumerate(switch_edges)
             if u not in excluded and v not in excluded
@@ -714,8 +713,7 @@ def expand_jellyfish(topology: Topology, seed: int = 0) -> Topology:
         switch_edges.append((u, new_switch))
         switch_edges.append((v, new_switch))
         excluded.update((u, v))
-        degree += 2
-    if degree < r and spare:
+    if r % 2 and spare:
         switch_edges.append((spare[0], new_switch))
     params["num_switches"] = num_switches + 1
     params["expanded"] = params.get("expanded", 0) + 1
