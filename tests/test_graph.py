@@ -144,7 +144,7 @@ def test_link_endpoint_outside_node_ids_rejected(stray):
 
 
 @pytest.mark.parametrize("stray", [
-    Node(0, NodeKind.HOST, 1),  # the order before records dropped their id
+    Node(0, NodeKind.HOST, 1),  # written as (id, kind, radix): its kind is 0
     Node("host", 1),
     Node(None, 2),
 ], ids=["id-first", "kind-value", "no-kind"])
