@@ -479,7 +479,9 @@ def bisection_bandwidth_heuristic(
     closed = list(solver.cap)
     n = topology.num_nodes
     weighted = [[(nb, cap) for nb, cap in topology.adjacency[v] if nb != v] for v in range(n)]
-    is_host = [node.is_host for node in topology.nodes]
+    is_host = [False] * n
+    for h in hosts:
+        is_host[h] = True
     best = INF
     for restart in range(restarts):
         rng = random.Random(seed * 100_003 + restart)

@@ -139,7 +139,12 @@ def _ecmp_rows(topology: Topology) -> tuple[dict[int, tuple[int, int]], list[lis
         rows[members[0]][c] = nbrs
     for t, k in twins.items():
         rows[t] = rows[reps[k]]
-    class_of = {h: (c, members[0]) for c, (_, members) in enumerate(classes) for h in members}
+    class_of = {  # one (class, representative) tuple shared by the class's members
+        h: entry
+        for c, (_, members) in enumerate(classes)
+        for entry in [(c, members[0])]
+        for h in members
+    }
     return class_of, rows
 
 

@@ -9,7 +9,9 @@ a node no host reaches; nor is ``broom``, a node with hundreds of distinct
 next-hop tuples.
 
 :func:`bfs_distances` is the plain single-source BFS that the tests use as
-their reference for every shortest-path computation in the package.
+their reference for every shortest-path computation in the package, and
+:func:`per_end_adjacency` the reference for ``Topology.adjacency``, whose
+link ends are shared objects.
 """
 
 from dcnbench.graph import Link, Node, NodeKind, Topology
@@ -29,6 +31,22 @@ def bfs_distances(topology, source):
                     nxt.append(nb)
         frontier = nxt
     return dist
+
+
+def per_end_adjacency(topology):
+    """``topology.adjacency`` built with a new ``(neighbour, capacity)`` tuple
+    per link end, each end keyed by its neighbour, its capacity's type and
+    the capacity's repr: so 1 and 1.0 differ and two NaNs are equal."""
+    adj = [[] for _ in topology.nodes]
+    for a, b, capacity, _ in topology.links:
+        adj[a].append((b, capacity))
+        adj[b].append((a, capacity))
+    return end_values(adj)
+
+
+def end_values(adjacency):
+    """Each end of ``adjacency`` as ``(neighbour, capacity type, capacity repr)``."""
+    return [[(nb, type(cap), repr(cap)) for nb, cap in row] for row in adjacency]
 
 
 def _topology(num_hosts, num_switches, pairs):

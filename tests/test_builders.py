@@ -26,6 +26,8 @@ from dcnbench.builders import (
 )
 from dcnbench.graph import TopologyError
 
+from hand_topologies import end_values, per_end_adjacency
+
 
 def layer_switches(topo, layer):
     """Ids of the fat-tree switches in ``layer``: 1 edge, 2 aggregation, 3 core."""
@@ -820,6 +822,16 @@ def test_builder_output_is_pinned(builder, args, digest):
     topo = builder(*args)
     assert validate(topo) == []
     assert builder_digest(topo) == digest
+
+
+@pytest.mark.parametrize(
+    "builder, args", [(b, a) for b, a, _ in GOLDEN], ids=[f"{b.__name__}{a}" for b, a, _ in GOLDEN]
+)
+def test_builder_adjacency_matches_a_tuple_per_end(builder, args):
+    # the shared link ends hold the values, order and capacity types that
+    # one new tuple per end held
+    topo = builder(*args)
+    assert end_values(topo.adjacency) == per_end_adjacency(topo)
 
 
 # --- size cap -----------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from dcnbench.graph import (
@@ -36,9 +39,11 @@ from hand_topologies import (
     HAND_BUILT,
     bfs_distances,
     duplicate_host_links,
+    end_values,
     isolated_switch,
     isolated_twins,
     linkless_twins,
+    per_end_adjacency,
     twins_of_twins,
 )
 
@@ -73,7 +78,6 @@ def test_record_defaults():
     node = Node(NodeKind.SWITCH, 4)
     assert node.address == Address() and node.address.digits == ()
     assert node.address.scheme is AddressScheme.FLAT
-    assert not node.is_host
     assert Node._fields == ("kind", "radix", "address")
 
 
@@ -141,6 +145,26 @@ def test_link_endpoint_outside_node_ids_rejected(stray):
     nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 2), Node(NodeKind.SWITCH, 2)]
     with pytest.raises(TopologyError, match=f"link 2 \\({stray.a}-{stray.b}\\)"):
         Topology(nodes, [Link(0, 2), Link(1, 2), stray])
+
+
+@pytest.mark.parametrize("stray", [Link(0, True), Link(1.0, 2), Link(0, "2")],
+                         ids=["bool", "float", "str"])
+def test_link_endpoint_must_be_an_int(stray):
+    # True once passed as node 1 and was exported as "True"; 1.0 and "2"
+    # raised a bare TypeError
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 2), Node(NodeKind.SWITCH, 2)]
+    message = f"link 2 ({stray.a!r}-{stray.b!r}) has an endpoint that is not an integer"
+    with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+        Topology(nodes, [Link(0, 2), Link(1, 2), stray])
+
+
+@pytest.mark.parametrize("radix", [True, 2.0, "2", None], ids=["bool", "float", "str", "none"])
+def test_node_radix_must_be_an_int(radix):
+    # the count rule of graph.check_count: a bool is not a count
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, radix), Node(NodeKind.SWITCH, 2)]
+    message = f"node 1 has radix {radix!r}; a radix is an integer"
+    with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+        Topology(nodes, [Link(0, 2), Link(1, 2)])
 
 
 @pytest.mark.parametrize("stray", [
@@ -307,6 +331,36 @@ def test_import_skips_blank_and_comment_lines():
     assert export_edge_list(topo) == "node 0 host 1 -\nnode 1 switch 4 -\nlink 0 1 1 10\n"
 
 
+# the head above, then a link whose capacity and latency text the records
+# under test repeat (line 7)
+CACHED_HEAD = IMPORT_HEAD + "link 0 1 1 10\n"
+
+
+@pytest.mark.parametrize("record, message", [
+    ("link 0 2 1 10", "link endpoint out of range: 0-2"),
+    ("link 0 x 1 10", "invalid literal for int() with base 10: 'x'"),
+    ("link 0 1 1 10 1", "expected 5 fields, got 6"),
+    # node lines that repeat an earlier record's text
+    ("node 1 switch 4 -", "node id 1 out of order (expected 2)"),
+    ("node 0 host 1 -", "node id 0 out of order (expected 2)"),
+    ("node x host 1 -", "invalid literal for int() with base 10: 'x'"),
+])
+def test_import_error_after_a_repeated_record(record, message):
+    with pytest.raises(EdgeListParseError) as err:
+        import_edge_list(CACHED_HEAD + record + "\n")
+    assert err.value.line_no == 7
+    assert str(err.value) == f"line 7: {message}"
+
+
+@pytest.mark.parametrize("skipped", ["\t# tab-indented", "   #", "#node 2 oops", " \t "],
+                         ids=["tab-comment", "bare-comment", "commented-record", "whitespace"])
+def test_import_skips_indented_comments_and_whitespace(skipped):
+    topo = import_edge_list(CACHED_HEAD + skipped + "\n")
+    assert export_edge_list(topo) == export_edge_list(import_edge_list(CACHED_HEAD))
+    with pytest.raises(EdgeListParseError, match="^line 8: unknown record 'wat'$"):
+        import_edge_list(CACHED_HEAD + skipped + "\nwat\n")
+
+
 # --- multi-source BFS --------------------------------------------------------
 
 
@@ -349,15 +403,44 @@ def test_neighbors_table_is_sorted_adjacency(name):
     )
 
 
-@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def mixed_capacities():
+    """Host links of int 1, float 1.0 and two NaNs, and parallel switch
+    links whose capacity object changes from one link to the next."""
+    nodes = [Node(NodeKind.HOST, 1)] * 5 + [Node(NodeKind.SWITCH, 8)] * 2
+    capacities = [1, 1.0, math.nan, float("nan"), 1]
+    links = [Link(h, 5, capacity) for h, capacity in enumerate(capacities)]
+    links += [Link(5, 6, 1.0), Link(6, 5, 1), Link(5, 6, math.nan)]
+    return Topology(nodes, links)
+
+
+ADJACENCY_CASES = {
+    **HAND_BUILT,
+    "mixed_capacities": mixed_capacities,
+    "facebook-two-capacities": lambda: build_facebook_fabric(3, 2, 2, 2, 2.0, 8.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJACENCY_CASES))
 def test_adjacency_lists_other_end_and_capacity_per_link_end(name):
-    # a self-loop gives its node two entries, parallel links one each
-    topo = HAND_BUILT[name]()
-    expected = [[] for _ in topo.nodes]
-    for a, b, capacity, _ in topo.links:
-        expected[a].append((b, capacity))
-        expected[b].append((a, capacity))
-    assert topo.adjacency == tuple(tuple(entries) for entries in expected)
+    # a self-loop gives its node two entries, parallel links one each; a
+    # shared end keeps its link's capacity value and type
+    topo = ADJACENCY_CASES[name]()
+    assert end_values(topo.adjacency) == per_end_adjacency(topo)
+
+
+def test_fat_tree_shares_link_ends():
+    # one (node, capacity) end per node, where every end was once its own tuple
+    topo = build_fat_tree(4)
+    ends = [end for row in topo.adjacency for end in row]
+    assert len(ends) == 96
+    assert len({id(end) for end in ends}) <= 36
+
+
+def test_round_trip_shares_records_and_capacities():
+    topo = import_edge_list(export_edge_list(build_jellyfish(20, 6, 3, seed=1)))
+    assert len({id(node) for node in topo.nodes}) == 2  # one host record, one switch record
+    assert len({id(link.capacity) for link in topo.links}) == 1
+    assert len({id(end) for row in topo.adjacency for end in row}) <= topo.num_nodes
 
 
 QUOTIENT_CASES = {
