@@ -694,12 +694,10 @@ def test_size_parameter_must_be_an_int(builder, args, kwargs, name):
 
 def builder_digest(topo):
     """First 16 hex digits of the sha256 of everything a builder returns: each
-    node's kind, radix and address in position order, the links in order as
-    plain tuples, the sorted builder_params and the taxonomy. Record field
-    names stay out, so the digest pins values, not the record type."""
-    nodes = [
-        (n.kind.value, n.radix, n.address.digits, n.address.scheme.value) for n in topo.nodes
-    ]
+    node's kind, radix and address digits in position order, the links in
+    order as plain tuples, the sorted builder_params and the taxonomy. Record
+    field names stay out, so the digest pins values, not the record type."""
+    nodes = [(n.kind.value, n.radix, n.address.digits) for n in topo.nodes]
     links = [tuple(link) for link in topo.links]
     record = (nodes, links, sorted(topo.builder_params.items()), topo.taxonomy)
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
@@ -715,103 +713,103 @@ def jellyfish_expanded(num_switches, ports, r, seed, *expansion_seeds):
 # (builder, args, digest). Link order is pinned because the simulator's
 # round-robin arbitration follows it.
 GOLDEN = [
-    (build_fat_tree, (2,), "43bb0679eca435bb"),
-    (build_fat_tree, (4,), "3674ac24c928b9cd"),
-    (build_fat_tree, (4, 1), "b19252b4f9b0f381"),
-    (build_fat_tree, (4, 3), "34318c3319f92b7f"),
-    (build_fat_tree, (6,), "8625374775feda14"),
-    (build_fat_tree, (6, 2), "b355d7bac4ab052d"),
-    (build_fat_tree, (8, 1), "1c761f7b27c0ee65"),
-    (build_f10, (4,), "65e03aa0c1806083"),
-    (build_f10, (4, 1), "c23d1b0287aaecd1"),
-    (build_f10, (6,), "b1a9e1c4e0f76496"),
-    (build_f10, (6, 2), "7e0b4dd2133aad34"),
-    (build_f10, (8,), "a1fd4d9378db6724"),
-    (build_f10, (8, 1), "0a30574404f579bd"),
-    (build_facebook_fabric, (2, 2, 1, 1), "903182a4344de526"),
-    (build_facebook_fabric, (3, 2, 2, 1), "4be588533017baf6"),
-    (build_facebook_fabric, (2, 2, 1, 2), "11183df861955b65"),
-    (build_facebook_fabric, (48, 4, 1, 1), "2d0eca9684884ec5"),
-    (build_facebook_fabric, (3, 2, 1, 2, 2.0, 8.0), "ac694c2336378d7a"),
-    (build_facebook_fabric, (5, 3, 3, 3), "bc5953e5dfe9e4c4"),
-    (build_dcell, (2, 0), "1df9d337f7f116e6"),
-    (build_dcell, (3, 0), "ff82d2735e70b9f4"),
-    (build_dcell, (2, 1), "5d6ec4766f452a92"),
-    (build_dcell, (3, 1), "5b08707848a8b57c"),
-    (build_dcell, (4, 1), "eaa196d2af3847aa"),
-    (build_dcell, (6, 1), "3ea1f739ed8a8866"),
-    (build_dcell, (2, 2), "fca182af09b5b0e0"),
-    (build_dcell, (3, 2), "b62a77b3081f713b"),
-    (build_dcell, (2, 3), "23a034d6f1e77217"),
-    (build_bcube, (2, 0), "5b221b185f0f9dbb"),
-    (build_bcube, (3, 0), "804de689d18e17cc"),
-    (build_bcube, (2, 1), "c4729d3f67178a94"),
-    (build_bcube, (3, 1), "606c9c0e6df47b13"),
-    (build_bcube, (4, 1), "db9d3d86311024ba"),
-    (build_bcube, (2, 2), "44736326bce2e138"),
-    (build_bcube, (3, 2), "766410945b9f0522"),
-    (build_bcube, (2, 3), "db4771b4cc2095aa"),
-    (build_bcube, (4, 2), "ae285b2dc1848101"),
-    (build_mdcube, (1, 1, 2, 1), "2f8fad2ec9a171fe"),
-    (build_mdcube, (1, 2, 2, 1), "e7649cff730afe1d"),
-    (build_mdcube, (2, 1, 2, 1), "3626d8cc92277ae5"),
-    (build_mdcube, (1, 3, 2, 1), "9ea12fc276a28e48"),
-    (build_mdcube, (2, 2, 2, 1), "a8132234652fc7bd"),
-    (build_mdcube, (2, 3, 2, 1), "0fa37b82a4c38435"),
-    (build_mdcube, (3, 3, 2, 1), "ce3383a559cb7815"),
-    (build_mdcube, (1, 5, 2, 1), "c315f3569ba2b019"),
-    (build_mdcube, (3, 4, 3, 1), "48d84e066e95c19c"),
-    (build_mdcube, (2, 3, 2, 2), "f7cf21ead212721d"),
-    (build_mdcube, (4, 4, 2, 2), "3c29f587b1373f6e"),
-    (build_mdcube, (1, 2, 2, 0), "58888a0e38dc80d8"),
-    (build_mdcube, (2, 1, 2, 0), "04ecf53f9f266aca"),
-    (build_mdcube, (2, 2, 4, 1), "40c236b30c6d1098"),
-    (build_jellyfish, (10, 4, 3, 0), "1db0a1170ded910e"),
-    (build_jellyfish, (10, 4, 3, 1), "562779fffe9805d0"),
-    (build_jellyfish, (12, 6, 3, 3), "8e50c9346503c6d0"),
-    (build_jellyfish, (8, 5, 4, 0), "837998632915faf1"),
-    (build_jellyfish, (6, 3, 2, 1), "0b8c628b823e7c92"),
-    (build_jellyfish, (16, 8, 5, 2), "6ddfc422a53f9df1"),
-    (build_jellyfish, (20, 6, 4, 7), "4a141d99d0aeaa61"),
+    (build_fat_tree, (2,), "ffe4207599590acc"),
+    (build_fat_tree, (4,), "bfbeb472c69e314a"),
+    (build_fat_tree, (4, 1), "7eaf04a71002c19f"),
+    (build_fat_tree, (4, 3), "ad500e2c7386ae39"),
+    (build_fat_tree, (6,), "e2c0daa97c3d79be"),
+    (build_fat_tree, (6, 2), "56b9006d6b023261"),
+    (build_fat_tree, (8, 1), "53594e4319903f20"),
+    (build_f10, (4,), "fb95a719f0df053d"),
+    (build_f10, (4, 1), "cc8b4163269e423f"),
+    (build_f10, (6,), "d2051bdcabf54848"),
+    (build_f10, (6, 2), "ea5575b150165d26"),
+    (build_f10, (8,), "f19af48ae1707ef7"),
+    (build_f10, (8, 1), "3fbedc9876fb6d28"),
+    (build_facebook_fabric, (2, 2, 1, 1), "89dc355f8b40419a"),
+    (build_facebook_fabric, (3, 2, 2, 1), "39f10819e5bd1c15"),
+    (build_facebook_fabric, (2, 2, 1, 2), "b2b8e299fcc7f7f3"),
+    (build_facebook_fabric, (48, 4, 1, 1), "7a520e84c3e00f94"),
+    (build_facebook_fabric, (3, 2, 1, 2, 2.0, 8.0), "28bd928a2a5174fc"),
+    (build_facebook_fabric, (5, 3, 3, 3), "16a24cf4f0193953"),
+    (build_dcell, (2, 0), "5a4de9d2ab86ccd5"),
+    (build_dcell, (3, 0), "ed6ade969c12bbc8"),
+    (build_dcell, (2, 1), "14e414480a83fbf9"),
+    (build_dcell, (3, 1), "771cbe80e85abb52"),
+    (build_dcell, (4, 1), "1062ada1f54f5fce"),
+    (build_dcell, (6, 1), "eb23a77151ed7e1a"),
+    (build_dcell, (2, 2), "fb1fb218e1b4d1d8"),
+    (build_dcell, (3, 2), "75d6080c9dfc23c0"),
+    (build_dcell, (2, 3), "e66a550070acfdde"),
+    (build_bcube, (2, 0), "b22b17e802b5729a"),
+    (build_bcube, (3, 0), "f07721d8ea3a2e96"),
+    (build_bcube, (2, 1), "adf2f01aacd0a722"),
+    (build_bcube, (3, 1), "4e80960f1046562a"),
+    (build_bcube, (4, 1), "cfbad1b6772db901"),
+    (build_bcube, (2, 2), "8f8c5436cb63b61f"),
+    (build_bcube, (3, 2), "14e4b54b01180248"),
+    (build_bcube, (2, 3), "e76c0490872a230f"),
+    (build_bcube, (4, 2), "8fe266d7b7a91845"),
+    (build_mdcube, (1, 1, 2, 1), "2fd794d3aaca12c9"),
+    (build_mdcube, (1, 2, 2, 1), "1a64adde62ff5962"),
+    (build_mdcube, (2, 1, 2, 1), "e2fb2ac7508ff9f1"),
+    (build_mdcube, (1, 3, 2, 1), "d1089b37c966456e"),
+    (build_mdcube, (2, 2, 2, 1), "fcd235d34eea71fe"),
+    (build_mdcube, (2, 3, 2, 1), "36cfcac4bf54b3c1"),
+    (build_mdcube, (3, 3, 2, 1), "6dc3a979c528a532"),
+    (build_mdcube, (1, 5, 2, 1), "31c12d6bc78efb66"),
+    (build_mdcube, (3, 4, 3, 1), "57559dc68a2f7e3a"),
+    (build_mdcube, (2, 3, 2, 2), "90e2a25ac37ff5dd"),
+    (build_mdcube, (4, 4, 2, 2), "6d289fb9adbf1699"),
+    (build_mdcube, (1, 2, 2, 0), "9236417871888b19"),
+    (build_mdcube, (2, 1, 2, 0), "e576625215bc2040"),
+    (build_mdcube, (2, 2, 4, 1), "30cc08eab620e53c"),
+    (build_jellyfish, (10, 4, 3, 0), "9a8f97046b4b6e92"),
+    (build_jellyfish, (10, 4, 3, 1), "2322172613b0e1c3"),
+    (build_jellyfish, (12, 6, 3, 3), "69dcb9b7aef4b9f2"),
+    (build_jellyfish, (8, 5, 4, 0), "d3d5602778dda110"),
+    (build_jellyfish, (6, 3, 2, 1), "bb6e92f889f9218b"),
+    (build_jellyfish, (16, 8, 5, 2), "da36fddde58d5730"),
+    (build_jellyfish, (20, 6, 4, 7), "f4bf7431bad2269a"),
     # the instances perfbench builds
-    (build_jellyfish, (200, 12, 8, 1), "8a31f3429c4da816"),
-    (build_jellyfish, (200, 12, 8, 2), "58c96af7886e6d06"),
-    (build_jellyfish, (200, 12, 8, 3), "40cdc6ed4a97b134"),
-    (build_jellyfish, (50, 8, 5, 0), "6ff7fd07154ee235"),
-    (jellyfish_expanded, (10, 4, 3, 1, 2), "00a40b6acf07f104"),
-    (jellyfish_expanded, (10, 4, 3, 1, 2, 9), "acb5111073c3a521"),
-    (jellyfish_expanded, (6, 3, 2, 1, 0, 1), "fb85aa7a738e84e2"),
-    (jellyfish_expanded, (8, 5, 4, 0, 1, 2), "10ece7e2c577c29d"),
-    (jellyfish_expanded, (12, 6, 3, 3, 4, 5), "ce8246fe56e15b2f"),
-    (jellyfish_expanded, (16, 8, 5, 2, 3, 3), "d5947bf02a7ebefa"),
-    (build_scafida, (1, 2, 4), "fc6caadf41367605"),
-    (build_scafida, (5, 0, 3), "834e15d9330aa9a8"),
-    (build_scafida, (6, 6, 8), "dc38168573f5d5b6"),
-    (build_scafida, (30, 40, 12), "80682ed5a2393ae0"),
-    (build_scafida, (40, 80, 16), "7023583586015ec6"),
-    (build_scafida, (50, 0, 5), "15e5c1fb205650e0"),
-    (build_scafida, (12, 10, 10, 4, 1, 3), "04a5d6f841b13d05"),
-    (build_hcn, (2, 0), "e5215118b26817e4"),
-    (build_hcn, (4, 0), "6746e2477a240cfd"),
-    (build_hcn, (2, 1), "c6de9e26aa5f0786"),
-    (build_hcn, (2, 2), "62ec2dd23c0c1f51"),
-    (build_hcn, (2, 3), "6e32001a6807dbb6"),
-    (build_hcn, (3, 1), "3ddae7f2f7caecee"),
-    (build_hcn, (3, 2), "3c239daa153322b8"),
-    (build_hcn, (4, 1), "790bb6d7f61facbc"),
-    (build_hcn, (4, 2), "448c83157dc17559"),
-    (build_bcn, (1, 1, 0), "406ec4d7cb942a7f"),
-    (build_bcn, (1, 2, 1), "173121bc1fb09963"),
-    (build_bcn, (1, 1, 2), "e7631194da815422"),
-    (build_bcn, (2, 0, 1), "1885590483186033"),
-    (build_bcn, (2, 2, 0), "bc47e3f1412e6010"),
-    (build_bcn, (2, 1, 1), "e0cc8ea4b154eae4"),
-    (build_bcn, (2, 2, 2), "e31d4c737975a75f"),
-    (build_bcn, (3, 1, 1), "2eb04fa20db886ee"),
-    (build_bcn, (3, 2, 1), "0e0651b0932bb96f"),
-    (build_bcn, (4, 1, 1), "057f6d75d09f98d8"),
-    (build_bcn, (4, 1, 2), "793d25ee5c297f04"),
-    (build_bcn, (2, 3, 3), "56aba4900af19941"),
+    (build_jellyfish, (200, 12, 8, 1), "88d8784929c893ed"),
+    (build_jellyfish, (200, 12, 8, 2), "19dc4ffebf044ab8"),
+    (build_jellyfish, (200, 12, 8, 3), "12f75d2658e5cad8"),
+    (build_jellyfish, (50, 8, 5, 0), "bd038a420b7e96d6"),
+    (jellyfish_expanded, (10, 4, 3, 1, 2), "1d9227b2e7d3ef0f"),
+    (jellyfish_expanded, (10, 4, 3, 1, 2, 9), "9b2aa7fcfc9de0ff"),
+    (jellyfish_expanded, (6, 3, 2, 1, 0, 1), "a16cbbfc1e167623"),
+    (jellyfish_expanded, (8, 5, 4, 0, 1, 2), "6fd0b430ebc6916c"),
+    (jellyfish_expanded, (12, 6, 3, 3, 4, 5), "3584a7bc2eda5c49"),
+    (jellyfish_expanded, (16, 8, 5, 2, 3, 3), "6227229e0be29137"),
+    (build_scafida, (1, 2, 4), "9c4aec09fb5c31be"),
+    (build_scafida, (5, 0, 3), "1ff3f5f7dc31b658"),
+    (build_scafida, (6, 6, 8), "9da712bb304b1917"),
+    (build_scafida, (30, 40, 12), "3a18aed0a805f4e7"),
+    (build_scafida, (40, 80, 16), "142b5b6716bd2edd"),
+    (build_scafida, (50, 0, 5), "23f646f64bc4e953"),
+    (build_scafida, (12, 10, 10, 4, 1, 3), "91f6b178539e9f96"),
+    (build_hcn, (2, 0), "b14acc3751c53401"),
+    (build_hcn, (4, 0), "78a0576d9cc9ebd7"),
+    (build_hcn, (2, 1), "02d18112f9fcc833"),
+    (build_hcn, (2, 2), "15693461ce284c1d"),
+    (build_hcn, (2, 3), "eb46e5f417f19ef2"),
+    (build_hcn, (3, 1), "17287e0ccb7aa594"),
+    (build_hcn, (3, 2), "20b78dfba8effa80"),
+    (build_hcn, (4, 1), "200dd88bdbcb05a3"),
+    (build_hcn, (4, 2), "4b28479e9c528cbe"),
+    (build_bcn, (1, 1, 0), "58152547161e1582"),
+    (build_bcn, (1, 2, 1), "f073736214cceebf"),
+    (build_bcn, (1, 1, 2), "c0fccf91e0407b1b"),
+    (build_bcn, (2, 0, 1), "6d8736e0baca5509"),
+    (build_bcn, (2, 2, 0), "b283733e1e2e5acf"),
+    (build_bcn, (2, 1, 1), "f4c6a29e64f9358d"),
+    (build_bcn, (2, 2, 2), "8e92a03a3f2777d7"),
+    (build_bcn, (3, 1, 1), "01cd92e77d00f542"),
+    (build_bcn, (3, 2, 1), "b8b35602760fe15f"),
+    (build_bcn, (4, 1, 1), "a583e402c2f30e8e"),
+    (build_bcn, (4, 1, 2), "4828ea5a4aacdf1b"),
+    (build_bcn, (2, 3, 3), "1edac546fb919c6a"),
 ]
 
 
