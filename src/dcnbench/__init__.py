@@ -7,11 +7,9 @@ evaluates them under synthetic traffic with a flit-level simulator.
 
 from .graph import (
     Address,
-    AddressScheme,
     Link,
     Node,
     NodeKind,
-    TaxonomyRecord,
     Topology,
     TopologyError,
     ValidationError,
@@ -21,7 +19,9 @@ from .graph import (
 )
 from .builders import (
     PRESETS,
+    TAXONOMY,
     SizeCapError,
+    TaxonomyRecord,
     build_bcn,
     build_bcube,
     build_dcell,
@@ -39,7 +39,6 @@ from .builders import (
 
 __all__ = [
     "Address",
-    "AddressScheme",
     "Link",
     "Node",
     "NodeKind",
@@ -52,6 +51,7 @@ __all__ = [
     "import_edge_list",
     "validate",
     "PRESETS",
+    "TAXONOMY",
     "build_bcn",
     "build_bcube",
     "build_dcell",

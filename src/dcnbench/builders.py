@@ -2,7 +2,11 @@
 
 All builders are pure functions of their parameters (and seed, for the
 randomized ones), assign node ids hosts-first in a canonical order, and
-attach the taxonomy record matching the survey's classification tables.
+record their own name as ``builder_params["builder"]``. What the name
+implies is said once, here and in the routers, not copied into each node or
+topology: :data:`TAXONOMY` maps it to the survey's classification of the
+design, and ``dcnbench.routing.SPECIALIZED_MODES`` to the routing that
+reads its addresses and layout.
 
 The recursive server-centric topologies share one construction step, the
 complete join of :func:`_join_complete`: over sub-units 0..g, sub-unit i's
@@ -17,17 +21,16 @@ from __future__ import annotations
 import os
 import random
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import (
     Address,
-    AddressScheme,
     DEFAULT_CAPACITY,
     DEFAULT_LATENCY,
     Link,
     Node,
     NodeKind,
-    TaxonomyRecord,
     Topology,
     TopologyError,
     check_count,
@@ -70,6 +73,20 @@ def _flat_nodes(num_hosts: int, host_radix: int, num_switches: int, switch_radix
     kind, since a record holds no id and cannot be assigned."""
     host, switch = Node(NodeKind.HOST, host_radix), Node(NodeKind.SWITCH, switch_radix)
     return [host] * num_hosts + [switch] * num_switches
+
+
+@dataclass(frozen=True)
+class TaxonomyRecord:
+    """Classification of a design along the survey's design axes."""
+
+    build_approach: str  # "random" | "deterministic"
+    centricity: str  # "server-centric" | "switch-centric"
+    directness: str  # "direct" | "indirect"
+    symmetric: bool
+    extensible: bool
+    deployment: str  # "modular" | "non-modular"
+    blocking: str  # "non-blocking" | "blocking"
+    tiers: str  # "flat" | "fixed(<n>)" | "n-tier"
 
 
 FAT_TREE_TAXONOMY = TaxonomyRecord(
@@ -138,6 +155,21 @@ HCN_TAXONOMY = TaxonomyRecord(
     tiers="n-tier",
 )
 
+# builder name -> the survey's classification of that design; F10 and the
+# Facebook fabric are fat trees, MDCube is built of BCubes, BCN extends HCN
+TAXONOMY = {
+    "fat_tree": FAT_TREE_TAXONOMY,
+    "f10": FAT_TREE_TAXONOMY,
+    "facebook_fabric": FAT_TREE_TAXONOMY,
+    "dcell": DCELL_TAXONOMY,
+    "bcube": BCUBE_TAXONOMY,
+    "mdcube": BCUBE_TAXONOMY,
+    "jellyfish": JELLYFISH_TAXONOMY,
+    "scafida": SCAFIDA_TAXONOMY,
+    "hcn": HCN_TAXONOMY,
+    "bcn": HCN_TAXONOMY,
+}
+
 
 # ---------------------------------------------------------------------------
 # Fat-tree family
@@ -162,27 +194,13 @@ def _fat_tree_family(
     for p in range(k):
         for e in range(half):
             for h in range(hosts_per_edge):
-                nodes.append(
-                    Node(NodeKind.HOST, 1, Address((0, p, e, h), AddressScheme.FAT_TREE_POD))
-                )
+                nodes.append(Node(NodeKind.HOST, 1, Address((0, p, e, h))))
     for layer in (1, 2):  # edge, then aggregation
         for p in range(k):
             for i in range(half):
-                nodes.append(
-                    Node(
-                        NodeKind.SWITCH,
-                        switch_radix,
-                        Address((layer, p, i, 0), AddressScheme.FAT_TREE_POD),
-                    )
-                )
+                nodes.append(Node(NodeKind.SWITCH, switch_radix, Address((layer, p, i, 0))))
     for c in range(half * half):
-        nodes.append(
-            Node(
-                NodeKind.SWITCH,
-                switch_radix,
-                Address((3, k, c // half, c % half), AddressScheme.FAT_TREE_POD),
-            )
-        )
+        nodes.append(Node(NodeKind.SWITCH, switch_radix, Address((3, k, c // half, c % half))))
     links = []
     for p in range(k):
         for e in range(half):
@@ -199,7 +217,6 @@ def _fat_tree_family(
     return Topology(
         nodes,
         links,
-        taxonomy=FAT_TREE_TAXONOMY,
         builder_params={"builder": builder, "k": k, "hosts_per_edge": hosts_per_edge},
     )
 
@@ -268,20 +285,15 @@ def build_facebook_fabric(
     nodes = []
     for e in range(edge_switches):
         for h in range(hosts_per_edge):
-            nodes.append(Node(NodeKind.HOST, 1, Address((0, 0, e, h), AddressScheme.FAT_TREE_POD)))
+            nodes.append(Node(NodeKind.HOST, 1, Address((0, 0, e, h))))
     edge_base = num_hosts
     edge_radix = hosts_per_edge + planes * agg_switches
     for e in range(edge_switches):
-        nodes.append(
-            Node(NodeKind.SWITCH, edge_radix, Address((1, 0, e, 0), AddressScheme.FAT_TREE_POD))
-        )
+        nodes.append(Node(NodeKind.SWITCH, edge_radix, Address((1, 0, e, 0))))
     agg_base = edge_base + edge_switches
     for pl in range(planes):
         for a in range(agg_switches):
-            nodes.append(
-                Node(NodeKind.SWITCH, edge_switches,
-                     Address((2, pl, a, 0), AddressScheme.FAT_TREE_POD))
-            )
+            nodes.append(Node(NodeKind.SWITCH, edge_switches, Address((2, pl, a, 0))))
     links = []
     for e in range(edge_switches):
         edge = edge_base + e
@@ -295,7 +307,6 @@ def build_facebook_fabric(
     return Topology(
         nodes,
         links,
-        taxonomy=FAT_TREE_TAXONOMY,
         builder_params={
             "builder": "facebook_fabric",
             "edge_switches": edge_switches,
@@ -364,14 +375,10 @@ def build_dcell(n: int, level: int) -> Topology:
 
     nodes = []
     for uid in range(num_hosts):
-        nodes.append(
-            Node(NodeKind.HOST, level + 1, Address(digits_of(uid), AddressScheme.DCELL_COORD))
-        )
+        nodes.append(Node(NodeKind.HOST, level + 1, Address(digits_of(uid))))
     for c in range(num_switches):
         prefix = digits_of(c * n)[:-1]
-        nodes.append(
-            Node(NodeKind.SWITCH, n, Address(prefix + (n,), AddressScheme.DCELL_COORD))
-        )
+        nodes.append(Node(NodeKind.SWITCH, n, Address(prefix + (n,))))
     links = []
     for uid in range(num_hosts):
         links.append(Link(uid, num_hosts + uid // n))
@@ -383,10 +390,7 @@ def build_dcell(n: int, level: int) -> Topology:
                 [range(start, start + sub) for start in range(base, base + cell_size, sub)]
             )
     return Topology(
-        nodes,
-        links,
-        taxonomy=DCELL_TAXONOMY,
-        builder_params={"builder": "dcell", "n": n, "level": level, "t": ts},
+        nodes, links, builder_params={"builder": "dcell", "n": n, "level": level, "t": ts}
     )
 
 
@@ -434,22 +438,11 @@ def build_bcube(n: int, k: int) -> Topology:
     _check_cap(num_hosts + (k + 1) * n**k, what)
     nodes = []
     for uid in range(num_hosts):
-        nodes.append(
-            Node(NodeKind.HOST, k + 1,
-                 Address(_base_digits(uid, n, k + 1), AddressScheme.BCUBE_DIGITS))
-        )
+        nodes.append(Node(NodeKind.HOST, k + 1, Address(_base_digits(uid, n, k + 1))))
     for i in range(k + 1):
         for m in range(n**k):
-            nodes.append(
-                Node(NodeKind.SWITCH, n,
-                     Address((i,) + _base_digits(m, n, k), AddressScheme.BCUBE_DIGITS))
-            )
-    return Topology(
-        nodes,
-        _bcube_links(n, k),
-        taxonomy=BCUBE_TAXONOMY,
-        builder_params={"builder": "bcube", "n": n, "k": k},
-    )
+            nodes.append(Node(NodeKind.SWITCH, n, Address((i,) + _base_digits(m, n, k))))
+    return Topology(nodes, _bcube_links(n, k), builder_params={"builder": "bcube", "n": n, "k": k})
 
 
 def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
@@ -496,7 +489,6 @@ def build_mdcube(rows: int, cols: int, n: int, k: int) -> Topology:
     return Topology(
         nodes,
         links,
-        taxonomy=BCUBE_TAXONOMY,
         builder_params={
             "builder": "mdcube", "rows": rows, "cols": cols, "n": n, "k": k,
         },
@@ -627,7 +619,7 @@ def _jellyfish_topology(
             links.append(Link(s * hosts_per_switch + h, num_hosts + s))
     for u, v in switch_edges:
         links.append(Link(num_hosts + u, num_hosts + v))
-    return Topology(nodes, links, taxonomy=JELLYFISH_TAXONOMY, builder_params=params)
+    return Topology(nodes, links, builder_params=params)
 
 
 def build_jellyfish(num_switches: int, ports: int, r: int, seed: int = 0) -> Topology:
@@ -810,7 +802,6 @@ def build_scafida(
     return Topology(
         nodes,
         links,
-        taxonomy=SCAFIDA_TAXONOMY,
         builder_params={
             "builder": "scafida", "num_switches": num_switches,
             "num_hosts": num_hosts, "max_degree": max_degree, "seed": seed,
@@ -861,10 +852,7 @@ def build_hcn(n: int, h: int) -> Topology:
     host_links, free_ports = _hcn_links(groups, n)
     links += host_links
     return Topology(
-        nodes,
-        links,
-        taxonomy=HCN_TAXONOMY,
-        builder_params={"builder": "hcn", "n": n, "h": h, "free_ports": free_ports},
+        nodes, links, builder_params={"builder": "hcn", "n": n, "h": h, "free_ports": free_ports}
     )
 
 
@@ -906,7 +894,6 @@ def build_bcn(alpha: int, beta: int, h: int) -> Topology:
     return Topology(
         nodes,
         links,
-        taxonomy=HCN_TAXONOMY,
         builder_params={
             "builder": "bcn", "alpha": alpha, "beta": beta, "h": h, "units": units,
         },

@@ -409,11 +409,11 @@ def run_simulation(
 def sweep_injection(
     topology: Topology,
     routing_mode: str,
-    pattern: TrafficPattern,
     rates: list[float],
     config: SimConfig,
 ) -> list[tuple[float, SimStats]]:
-    """Independent seeded simulations per rate; each point's ``saturated``
+    """Independent seeded simulations per rate, each with ``config`` (its
+    pattern included) but for the rate and seed; each point's ``saturated``
     flag marks reception in the measurement window falling under 95% of the
     packets that an idle network would have delivered in it.
     """
@@ -424,12 +424,7 @@ def sweep_injection(
     check_count("seed", config.seed, None)  # True would derive int seeds 7919 + i
     curve = []
     for idx, rate in enumerate(rates):
-        point_config = replace(
-            config,
-            injection_rate=rate,
-            pattern=pattern,
-            seed=config.seed * 7919 + idx,
-        )
+        point_config = replace(config, injection_rate=rate, seed=config.seed * 7919 + idx)
         curve.append((rate, run_simulation(topology, routing_mode, point_config)))
     return curve
 

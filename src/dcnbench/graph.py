@@ -2,10 +2,10 @@
 
 Every builder, metric, router, and simulator in this package works on the
 immutable :class:`Topology` defined here. Node ids are their positions in
-``nodes``, ``0..num_nodes-1``. The
-builders number hosts first, and the DCell and BCube routers rely on their
-builder's layout, but a :class:`Topology` does not require it: traffic
-patterns and bisection splits work on indices into :attr:`Topology.hosts`.
+``nodes``, ``0..num_nodes-1``. The builders number hosts first, and the
+DCell and BCube routers rely on their builder's layout, but a
+:class:`Topology` does not require it: traffic patterns and bisection
+splits work on indices into :attr:`Topology.hosts`.
 Every shortest-path question goes through one search,
 :func:`multi_source_bfs`, over the sorted ``neighbors`` table, and every
 shortcut over interchangeable hosts through one twin rule,
@@ -20,7 +20,10 @@ fields. Like any tuple, a record also compares equal to a plain tuple of the
 same values, unpacks, and sorts field by field. A node record holds its
 kind, radix and address only: its id is its position, so nodes that differ
 in nothing else, such as the flat-addressed hosts of a Jellyfish, share one
-record.
+record. An address holds its digits only. What they mean, like the survey's
+classification of the design, is a fact about the builder, which
+``builder_params["builder"]`` names: the routers read it, and
+:data:`dcnbench.builders.TAXONOMY` maps it to the design's taxonomy record.
 
 A value that repeats is built once and shared, as no tuple can be changed:
 the ``(neighbour, capacity)`` ends of :attr:`Topology.adjacency` (one per
@@ -34,7 +37,6 @@ only ``is`` tells them apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -48,27 +50,19 @@ class NodeKind(Enum):
     SWITCH = "switch"
 
 
-class AddressScheme(Enum):
-    FAT_TREE_POD = "fattreepod"
-    DCELL_COORD = "dcellcoord"
-    BCUBE_DIGITS = "bcubedigits"
-    FLAT = "flat"
-
-
 # read per record: on Python 3.10 and 3.11 a module global reads faster than
 # ``NodeKind.HOST``, a class attribute of the Enum, and a dict lookup takes
 # a fraction of the microsecond that the call ``NodeKind("host")`` does
 _HOST = NodeKind.HOST
 _SWITCH = NodeKind.SWITCH
-_FLAT = AddressScheme.FLAT
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
 
 
 class Address(NamedTuple):
-    """Topology-specific coordinate vector, e.g. BCube digits or pod/position."""
+    """Topology-specific coordinate vector, e.g. BCube digits or pod/position;
+    empty for a flat address."""
 
     digits: tuple[int, ...] = ()
-    scheme: AddressScheme = AddressScheme.FLAT
 
 
 class Node(NamedTuple):
@@ -87,20 +81,6 @@ class Link(NamedTuple):
     b: int
     capacity: float = DEFAULT_CAPACITY
     latency: int = DEFAULT_LATENCY
-
-
-@dataclass(frozen=True)
-class TaxonomyRecord:
-    """Classification of a topology along the survey's design axes."""
-
-    build_approach: str  # "random" | "deterministic"
-    centricity: str  # "server-centric" | "switch-centric"
-    directness: str  # "direct" | "indirect"
-    symmetric: bool
-    extensible: bool
-    deployment: str  # "modular" | "non-modular"
-    blocking: str  # "non-blocking" | "blocking"
-    tiers: str  # "flat" | "fixed(<n>)" | "n-tier"
 
 
 class TopologyError(Exception):
@@ -143,7 +123,6 @@ class Topology:
         self,
         nodes: Sequence[Node],
         links: Sequence[Link],
-        taxonomy: Optional[TaxonomyRecord] = None,
         builder_params: Optional[dict] = None,
     ):
         self.nodes: tuple[Node, ...] = tuple(nodes)
@@ -155,7 +134,6 @@ class Topology:
             if type(radix) is not int:
                 raise TopologyError(f"node {v} has radix {radix!r}; a radix is an integer")
         self.links: tuple[Link, ...] = tuple(links)
-        self.taxonomy = taxonomy
         self.builder_params: dict = dict(builder_params or {})
         n = len(self.nodes)
         adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -247,8 +225,12 @@ def validate(topology: Topology) -> list[str]:
 
     Violations are data, not failures: an empty list means the topology is
     well-formed. Checks: radix exceeded, duplicate links, self loops,
-    capacities that are not finite and positive, latency below one cycle,
-    disconnected components, and per-scheme address length consistency.
+    capacities that are not an ``int`` or ``float`` (a ``bool`` is not one)
+    or not finite and positive, latencies that are not exactly an ``int`` or
+    below one cycle, disconnected components, and address length: every
+    non-empty address has as many digits as the first. The link checks
+    admit only what the edge-list format carries back: an ``int`` latency,
+    and a capacity that :func:`import_edge_list` reads as a ``float``.
     """
     violations = []
     adjacency = topology.adjacency
@@ -268,25 +250,30 @@ def validate(topology: Topology) -> list[str]:
         if pair in seen_pairs:
             violations.append(f"duplicate link: {a}-{b} (link {idx})")
         seen_pairs.add(pair)
-        if not capacity > 0:  # NaN fails every comparison
+        if isinstance(capacity, bool) or not isinstance(capacity, (int, float)):
+            violations.append(f"capacity {capacity!r} on link {idx} is not a number")
+        elif not capacity > 0:  # NaN fails every comparison
             violations.append(f"non-positive capacity on link {idx}")
         elif capacity == math.inf:
             violations.append(f"infinite capacity on link {idx}")
-        if not latency >= 1:
+        if type(latency) is not int:
+            violations.append(f"latency {latency!r} on link {idx} is not an integer")
+        elif latency < 1:
             violations.append(f"latency < 1 on link {idx}")
     count = component_count(topology)
     if count > 1:
         violations.append(f"disconnected: {count} components")
-    scheme_lengths: dict[AddressScheme, int] = {}
+    width = 0  # digits of the first non-empty address
     for v, node in enumerate(topology.nodes):
-        addr = node.address
-        if addr.scheme is _FLAT and not addr.digits:
+        digits = node.address.digits
+        if not digits:
             continue
-        want = scheme_lengths.setdefault(addr.scheme, len(addr.digits))
-        if len(addr.digits) != want:
+        if not width:
+            width = len(digits)
+        elif len(digits) != width:
             violations.append(
-                f"address-scheme inconsistency: node {v} has "
-                f"{len(addr.digits)} digits, expected {want} for {addr.scheme.value}"
+                f"address length inconsistency: node {v} has {len(digits)} digits, "
+                f"expected {width}"
             )
     return violations
 
@@ -306,11 +293,15 @@ def export_edge_list(topology: Topology) -> str:
 
     :func:`import_edge_list` reads back node order, kind, radix and address
     digits, and link order, endpoints, capacity and latency, so exporting
-    the imported topology gives the same text, and a topology whose
-    addresses are all flat comes back with equal ``nodes`` and ``links``.
-    The rest is lost: address schemes become flat, and the taxonomy and
-    builder parameters are dropped. A re-imported fat tree therefore routes
-    by ECMP under ``"auto"``, and the ``"fat-tree"`` router rejects it.
+    the imported topology gives the same text, and a topology that
+    :func:`validate` passes comes back with equal ``nodes`` and ``links`` (an
+    ``int`` capacity comes back as a ``float``, equal to it when a float
+    holds it exactly).
+    The builder parameters are dropped, and with the builder's name go what
+    it implies: the taxonomy, which :data:`dcnbench.builders.TAXONOMY` reads
+    by name, and the specialized router. A re-imported fat tree therefore
+    routes by ECMP under ``"auto"``, and the ``"fat-tree"`` router rejects
+    it.
     """
     lines = []
     for v, node in enumerate(topology.nodes):
@@ -326,16 +317,18 @@ def export_edge_list(topology: Topology) -> str:
 def import_edge_list(text: str) -> Topology:
     """Parse the edge-list format back into a topology.
 
-    The result carries no taxonomy (imported topologies are unclassified).
-    Node lines give ids 0, 1, 2, ... in order, as a node's id is its
-    position. Node lines with equal kind, radix and flat (``-``) address
-    text share one record, and link lines with equal capacity and latency
-    text share one float and one int, so their adjacency ends are shared
-    too. A coordinate address is parsed per line: it rarely repeats, and
-    caching fat tree k=48's 30,528 of them raised the round trip's peak RSS
-    from 78 to 85 MB. Raises :class:`EdgeListParseError` with the offending
-    line number on malformed input and :class:`ValidationError` if the
-    parsed topology violates structural invariants (e.g. duplicate links).
+    The result's builder is ``"imported"``, which names no design: it has
+    no taxonomy and routes by ECMP under ``"auto"``. Node lines give ids 0,
+    1, 2, ... in order, as a node's id is its position. Node lines with
+    equal kind, radix and flat (``-``) address text share one record, and
+    link lines with equal capacity and latency text share one float and one
+    int, so their adjacency ends are shared too. A coordinate address is
+    parsed per line: it rarely repeats, and caching fat tree k=48's 30,528
+    of them raised the round trip's peak RSS from 78 to 85 MB. Raises
+    :class:`EdgeListParseError` with the offending line number on malformed
+    input and :class:`ValidationError` if the parsed topology violates
+    structural invariants (e.g. duplicate links or addresses of different
+    lengths).
     """
     nodes: list[Node] = []
     links: list[Link] = []
@@ -401,7 +394,7 @@ def import_edge_list(text: str) -> Topology:
             links.append(Link(a, b, capacity, latency))
         else:
             raise EdgeListParseError(line_no, f"unknown record {parts[0]!r}")
-    topology = Topology(nodes, links, taxonomy=None, builder_params={"builder": "imported"})
+    topology = Topology(nodes, links, builder_params={"builder": "imported"})
     violations = validate(topology)
     if violations:
         raise ValidationError(violations)

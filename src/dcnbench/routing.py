@@ -6,11 +6,13 @@ are node-id sequences from source host to destination host.
 Every routing mode is one router factory of one shape,
 ``(topology) -> (src, dst, rng) -> Route``: :func:`ecmp_router`,
 :func:`fat_tree_router`, :func:`dcell_router` and :func:`bcube_router`. A
-factory checks its topology and computes once what a lookup reads (for
-ECMP, next hops per host twin class for each node of the twin quotient,
-a twin sharing its class's first member's, and :func:`compute_ecmp_tables`
-serves them as per-node tables too); the callable it returns only indexes
-those or does integer arithmetic on the addresses.
+factory checks its topology (a specialized one, that
+:data:`SPECIALIZED_MODES` maps the topology's builder to its mode) and
+computes once what a lookup reads (for ECMP, next hops per host twin class
+for each node of the twin quotient, a twin sharing its class's first
+member's, and :func:`compute_ecmp_tables` serves them as per-node tables
+too); the callable it returns only indexes those or does integer arithmetic
+on the addresses.
 :func:`route_provider` picks the factory. Every lookup raises
 :class:`TopologyError`, after an O(1) test, when ``src == dst`` or an
 endpoint is not a host.
@@ -23,7 +25,6 @@ from collections.abc import Mapping
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import (
-    AddressScheme,
     NodeKind,
     Topology,
     TopologyError,
@@ -39,7 +40,24 @@ Router = Callable[[int, int, random.Random], Route]
 # ``NodeKind.HOST``, a class attribute of the Enum, on Python 3.10 and 3.11
 _HOST = NodeKind.HOST
 _SWITCH = NodeKind.SWITCH
-_FAT_TREE_POD = AddressScheme.FAT_TREE_POD
+
+# builder name -> the specialized mode that reads its addresses and layout;
+# each of those modes accepts only a topology its builder maps to it
+SPECIALIZED_MODES = {
+    "fat_tree": "fat-tree",
+    "f10": "fat-tree",
+    "facebook_fabric": "fat-tree",
+    "dcell": "dcell",
+    "bcube": "bcube",
+}
+
+
+def _specialized_params(topology: Topology, mode: str) -> dict:
+    """The topology's builder parameters, if its builder routes by ``mode``."""
+    params = topology.builder_params
+    if SPECIALIZED_MODES.get(params.get("builder")) != mode:
+        raise TopologyError(f"{mode} routing requires a {mode} topology")
+    return params
 
 
 def check_route(topology: Topology, route: Sequence[int]) -> None:
@@ -233,19 +251,23 @@ def fat_tree_router(topology: Topology) -> Router:
     reads, so the pass sorts nothing for the hosts (1,024 of the 1,344 nodes
     on fat tree k=16).
     A lookup draws ``rng.randrange(n)`` once per choice, ``n == 1`` included.
-    Raises :class:`TopologyError` here if a node lacks a fat-tree address or
-    a host has no link, and at lookup time if the descent is not unique.
+    Layer and pod are the first two address digits, as the fat-tree family's
+    builders write them. Raises :class:`TopologyError` here if another
+    builder made the topology (:data:`SPECIALIZED_MODES`), a node has fewer
+    than two address digits or a host has no link, and at lookup time if the
+    descent is not unique.
     """
+    _specialized_params(topology, "fat-tree")
     nodes = topology.nodes
     adjacency = topology.adjacency
     layer = []
     pod = []
-    for node in nodes:
-        addr = node.address
-        if addr.scheme is not _FAT_TREE_POD or len(addr.digits) < 2:
-            raise TopologyError("fat-tree routing requires a fat-tree-family topology")
-        layer.append(addr.digits[0])
-        pod.append(addr.digits[1])
+    for v, node in enumerate(nodes):
+        digits = node.address.digits
+        if len(digits) < 2:
+            raise TopologyError(f"node {v} has no layer and pod digits for fat-tree routing")
+        layer.append(digits[0])
+        pod.append(digits[1])
     is_host = [node.kind is _HOST for node in nodes]
     num_nodes = len(nodes)
     edge_of: list[Optional[int]] = [None] * num_nodes
@@ -303,14 +325,6 @@ def fat_tree_router(topology: Topology) -> Router:
 # DCell and BCube
 
 
-def _builder_params(topology: Topology, builder: str) -> dict:
-    """The topology's builder parameters, if ``builder`` built it."""
-    params = topology.builder_params
-    if params.get("builder") != builder:
-        raise TopologyError(f"{builder} routing requires a {builder} topology")
-    return params
-
-
 def dcell_router(topology: Topology) -> Router:
     """Divide-and-conquer DCell routing: descend to the level where src and
     dst diverge, cross the single inter-sub-cell link there, and recurse on
@@ -319,7 +333,7 @@ def dcell_router(topology: Topology) -> Router:
     Reads ``n``, the sub-cell sizes ``t``, the level and the host count once;
     a lookup makes no ``rng`` call. Hosts are nodes ``0..num_hosts-1``.
     """
-    params = _builder_params(topology, "dcell")
+    params = _specialized_params(topology, "dcell")
     n = params["n"]
     ts = params["t"]
     top = params["level"]
@@ -364,7 +378,7 @@ def bcube_router(topology: Topology) -> Router:
     the level's first switch are computed once; a lookup makes no ``rng``
     call. Hosts are nodes ``0..num_hosts-1``.
     """
-    params = _builder_params(topology, "bcube")
+    params = _specialized_params(topology, "bcube")
     n, k = params["n"], params["k"]
     num_hosts = topology.num_hosts
     levels = [(n**i, num_hosts + i * n**k) for i in range(k, -1, -1)]
@@ -481,14 +495,6 @@ def f10_reroute(
 # ---------------------------------------------------------------------------
 # Mode dispatch
 
-SPECIALIZED_MODES = {
-    "fat_tree": "fat-tree",
-    "f10": "fat-tree",
-    "facebook_fabric": "fat-tree",
-    "dcell": "dcell",
-    "bcube": "bcube",
-}
-
 
 def resolve_routing_mode(topology: Topology, mode: str = "auto") -> str:
     if mode == "auto":
@@ -511,7 +517,11 @@ def route_provider(topology: Topology, mode: str = "auto") -> Router:
     the keys of :data:`ROUTERS`: "ecmp", "fat-tree", "dcell", "bcube". The
     mode's factory runs here, once per topology: it builds what a lookup
     reads, and a topology the mode cannot route raises
-    :class:`TopologyError` here rather than at the first lookup.
+    :class:`TopologyError` here rather than at the first lookup. A
+    specialized mode routes only a topology whose builder
+    :data:`SPECIALIZED_MODES` maps to it, read from ``builder_params``: the
+    same nodes and links without them (an imported fat tree, say) route by
+    "ecmp" only.
     "fat-tree" builds its tables in one pass over the links, "ecmp" builds
     its class rows over the twin quotient, and "dcell" and "bcube" only
     read their builder parameters.

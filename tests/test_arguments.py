@@ -29,7 +29,6 @@ from dcnbench.metrics import (
     failure_experiment,
     oversubscription_ratio,
 )
-from dcnbench.traffic import TrafficPattern
 
 
 def _sim_config(**fields):
@@ -123,7 +122,7 @@ def test_number_parameter_must_be_a_number(function, kwargs, name, value):
 
 def _sweep(**fields):
     config = SimConfig(**{"injection_rate": 0.1, "sim_cycles": 200, **fields})
-    return sweep_injection(build_fat_tree(4), "auto", TrafficPattern.uniform(), [0.1], config)
+    return sweep_injection(build_fat_tree(4), "auto", [0.1], config)
 
 
 # (function, valid keyword arguments); every seeded call takes ``seed``

@@ -4,8 +4,17 @@ import random
 
 import pytest
 
-from dcnbench.graph import Link, Node, NodeKind, Topology, export_edge_list, validate
+from dcnbench.graph import (
+    Link,
+    Node,
+    NodeKind,
+    Topology,
+    export_edge_list,
+    import_edge_list,
+    validate,
+)
 from dcnbench.builders import (
+    TAXONOMY,
     SizeCapError,
     _join_components,
     _random_regular_switch_graph,
@@ -590,25 +599,28 @@ def test_f10_rejects_small_k():
 
 
 def test_taxonomy_table_rows():
-    assert build_fat_tree(4).taxonomy.blocking == "non-blocking"
-    assert build_fat_tree(4).taxonomy.centricity == "switch-centric"
-    assert build_fat_tree(4).taxonomy.directness == "indirect"
-    assert build_fat_tree(4).taxonomy.tiers == "fixed(3)"
-    dcell = build_dcell(4, 1).taxonomy
+    fat_tree = TAXONOMY[build_fat_tree(4).name()]
+    assert fat_tree.blocking == "non-blocking"
+    assert fat_tree.centricity == "switch-centric"
+    assert fat_tree.directness == "indirect"
+    assert fat_tree.tiers == "fixed(3)"
+    dcell = TAXONOMY[build_dcell(4, 1).name()]
     assert dcell.blocking == "blocking"
     assert dcell.centricity == "server-centric"
     assert not dcell.symmetric
     assert dcell.tiers == "n-tier"
-    bcube = build_bcube(2, 1).taxonomy
+    bcube = TAXONOMY[build_bcube(2, 1).name()]
     assert bcube.deployment == "modular"
     assert bcube.symmetric
-    jelly = build_jellyfish(10, 4, 3).taxonomy
+    jelly = TAXONOMY[build_jellyfish(10, 4, 3).name()]
     assert jelly.build_approach == "random"
     assert jelly.extensible
     assert jelly.tiers == "flat"
-    scafida = build_scafida(6, 6, 8).taxonomy
+    scafida = TAXONOMY[build_scafida(6, 6, 8).name()]
     assert scafida.build_approach == "random"
     assert scafida.centricity == "server-centric"
+    # one record per builder name, and for no other name
+    assert set(TAXONOMY) == {builder(*args).name() for builder, args, _ in GOLDEN}
 
 
 def test_presets_resolve_and_validate():
@@ -695,11 +707,12 @@ def test_size_parameter_must_be_an_int(builder, args, kwargs, name):
 def builder_digest(topo):
     """First 16 hex digits of the sha256 of everything a builder returns: each
     node's kind, radix and address digits in position order, the links in
-    order as plain tuples, the sorted builder_params and the taxonomy. Record
-    field names stay out, so the digest pins values, not the record type."""
+    order as plain tuples, the sorted builder_params and the taxonomy of the
+    builder's name. Record field names stay out, so the digest pins values,
+    not the record type."""
     nodes = [(n.kind.value, n.radix, n.address.digits) for n in topo.nodes]
     links = [tuple(link) for link in topo.links]
-    record = (nodes, links, sorted(topo.builder_params.items()), topo.taxonomy)
+    record = (nodes, links, sorted(topo.builder_params.items()), TAXONOMY[topo.name()])
     return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
 
 
@@ -830,6 +843,17 @@ def test_builder_adjacency_matches_a_tuple_per_end(builder, args):
     # one new tuple per end held
     topo = builder(*args)
     assert end_values(topo.adjacency) == per_end_adjacency(topo)
+
+
+@pytest.mark.parametrize(
+    "builder, args", [(b, a) for b, a, _ in GOLDEN], ids=[f"{b.__name__}{a}" for b, a, _ in GOLDEN]
+)
+def test_builder_output_round_trips(builder, args):
+    # every node field and link field is in the edge-list text
+    topo = builder(*args)
+    again = import_edge_list(export_edge_list(topo))
+    assert again.nodes == topo.nodes
+    assert again.links == topo.links
 
 
 # --- size cap -----------------------------------------------------------

@@ -207,7 +207,7 @@ def test_full_load_saturates():
 def test_sweep_reception_rises_until_saturation(preset):
     rates = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
     config = SimConfig(injection_rate=rates[0], sim_cycles=1000)
-    curve = sweep_injection(build_preset(preset), "auto", TrafficPattern.uniform(), rates, config)
+    curve = sweep_injection(build_preset(preset), "auto", rates, config)
     assert [rate for rate, _ in curve] == rates
     flags = [stats.saturated for _, stats in curve]
     assert not flags[0] and flags[-1]
@@ -217,11 +217,17 @@ def test_sweep_reception_rises_until_saturation(preset):
         assert stats.saturated == saturated_from_output(stats)
 
 
+def test_sweep_runs_the_config_pattern():
+    config = SimConfig(injection_rate=0.1, sim_cycles=200, pattern=TrafficPattern.complement())
+    curve = sweep_injection(build_fat_tree(4), "auto", [0.1, 0.2], config)
+    assert [stats.pattern for _, stats in curve] == ["complement", "complement"]
+
+
 @pytest.mark.parametrize("rates", [[], [0.5, 0.5], [0.5, 0.2]])
 def test_sweep_rejects_bad_rates(rates):
     config = SimConfig(injection_rate=0.1, sim_cycles=100)
     with pytest.raises(TopologyError):
-        sweep_injection(build_fat_tree(2), "auto", TrafficPattern.uniform(), rates, config)
+        sweep_injection(build_fat_tree(2), "auto", rates, config)
 
 
 @pytest.mark.parametrize("latency", [3, 40])

@@ -5,7 +5,6 @@ import pytest
 
 from dcnbench.graph import (
     Address,
-    AddressScheme,
     EdgeListParseError,
     Link,
     Node,
@@ -24,6 +23,7 @@ from dcnbench.graph import (
 from dcnbench.builders import (
     PRESETS,
     build_bcn,
+    build_bcube,
     build_dcell,
     build_facebook_fabric,
     build_fat_tree,
@@ -56,8 +56,8 @@ def star(num_hosts, capacity=1.0):
 
 
 RECORDS = [
-    Address((1, 2), AddressScheme.BCUBE_DIGITS),
-    Node(NodeKind.HOST, 1, Address((1, 2), AddressScheme.BCUBE_DIGITS)),
+    Address((1, 2)),
+    Node(NodeKind.HOST, 1, Address((1, 2))),
     Link(0, 1, 2.0, 3),
 ]
 
@@ -77,8 +77,8 @@ def test_record_defaults():
     assert link.capacity == 1.0 and link.latency == 10
     node = Node(NodeKind.SWITCH, 4)
     assert node.address == Address() and node.address.digits == ()
-    assert node.address.scheme is AddressScheme.FLAT
     assert Node._fields == ("kind", "radix", "address")
+    assert Address._fields == ("digits",)
 
 
 def test_fat_tree_k4_validates_clean():
@@ -119,6 +119,60 @@ def test_infinite_capacity_reported(capacities, report):
     nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.HOST, 1), Node(NodeKind.SWITCH, 2)]
     links = [Link(h, 2, capacity) for h, capacity in enumerate(capacities)]
     assert validate(Topology(nodes, links)) == report
+
+
+@pytest.mark.parametrize("links, report", [
+    # the edge-list text of either reads back changed or not at all
+    ([Link(0, 1, True), Link(2, 1, 1.0, 2.5)],
+     ["capacity True on link 0 is not a number", "latency 2.5 on link 1 is not an integer"]),
+    ([Link(0, 1, True, True), Link(2, 1)],
+     ["capacity True on link 0 is not a number", "latency True on link 0 is not an integer"]),
+    ([Link(0, 1, "2"), Link(2, 1, 1.0, 10.0)],
+     ["capacity '2' on link 0 is not a number", "latency 10.0 on link 1 is not an integer"]),
+    ([Link(0, 1, None), Link(2, 1, 1.0, None)],
+     ["capacity None on link 0 is not a number", "latency None on link 1 is not an integer"]),
+    # an int capacity is a number, and reads back as the equal float
+    ([Link(0, 1, 2), Link(2, 1, 0.5, 1)], []),
+], ids=["bool-capacity-float-latency", "bool-both", "str-capacity-float-latency", "none", "valid"])
+def test_link_fields_the_edge_list_cannot_carry_reported(links, report):
+    nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.SWITCH, 2), Node(NodeKind.HOST, 1)]
+    topo = Topology(nodes, links)
+    assert validate(topo) == report
+    if not report:
+        again = import_edge_list(export_edge_list(topo))
+        assert again.links == topo.links
+
+
+def test_address_lengths_must_agree():
+    topo = build_bcube(2, 1)
+    assert validate(topo) == []
+    nodes = list(topo.nodes)
+    nodes[3] = nodes[3]._replace(address=Address((1, 0, 1)))
+    assert validate(Topology(nodes, topo.links)) == [
+        "address length inconsistency: node 3 has 3 digits, expected 2"
+    ]
+    nodes[0] = nodes[0]._replace(address=Address((1, 0, 1)))
+    assert validate(Topology(nodes, topo.links)) == [
+        f"address length inconsistency: node {v} has 2 digits, expected 3"
+        for v in range(1, topo.num_nodes) if v != 3
+    ]
+    # a flat address has no digits to compare
+    nodes = [node._replace(address=Address()) if v % 2 else node for v, node in enumerate(nodes)]
+    assert validate(Topology(nodes, topo.links)) == [
+        f"address length inconsistency: node {v} has 2 digits, expected 3"
+        for v in range(2, topo.num_nodes, 2)
+    ]
+
+
+@pytest.mark.parametrize("first, second, expected", [("0,1", "0,1,2", 2), ("0,1,2", "0,1", 3)])
+def test_import_rejects_addresses_of_different_lengths(first, second, expected):
+    text = (f"node 0 host 1 {first}\nnode 1 switch 2 -\nnode 2 host 1 {second}\n"
+            "link 0 1 1 10\nlink 2 1 1 10\n")
+    with pytest.raises(ValidationError) as err:
+        import_edge_list(text)
+    assert err.value.violations == [
+        f"address length inconsistency: node 2 has {5 - expected} digits, expected {expected}"
+    ]
 
 
 def test_disconnected_reported():
@@ -196,33 +250,27 @@ def test_export_fat_tree_k2_line_counts():
     assert len([l for l in lines if l.startswith("link")]) == 6
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS))
+# every preset, and one call of each builder that no preset uses
+ROUND_TRIP_CASES = {
+    **{name: lambda name=name: build_preset(name) for name in PRESETS},
+    "jellyfish": lambda: build_jellyfish(12, 6, 3, seed=3),
+    "scafida": lambda: build_scafida(12, 10, 10, seed=4),
+    "hcn": lambda: build_hcn(3, 1),
+    "bcn": lambda: build_bcn(2, 1, 1),
+    "mdcube": lambda: build_mdcube(2, 2, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
 def test_round_trip_keeps_structure(name):
-    topo = build_preset(name)
+    topo = ROUND_TRIP_CASES[name]()
     text = export_edge_list(topo)
     again = import_edge_list(text)
     assert export_edge_list(again) == text
-    # kind, radix and address digits per position; the scheme becomes flat
-    assert list(again.nodes) == [n._replace(address=Address(n.address.digits)) for n in topo.nodes]
+    assert again.nodes == topo.nodes  # kind, radix and address digits per position
     assert again.links == topo.links  # endpoints, capacity and latency, in order
-    # what the format does not carry
-    assert {n.address.scheme for n in again.nodes} == {AddressScheme.FLAT}
-    assert again.taxonomy is None
+    # what the format does not carry: the builder, and what its name implies
     assert again.builder_params == {"builder": "imported"}
-
-
-@pytest.mark.parametrize("topo", [
-    build_jellyfish(12, 6, 3, seed=3),
-    build_scafida(12, 10, 10, seed=4),
-    build_hcn(3, 1),
-    build_bcn(2, 1, 1),
-    build_mdcube(2, 2, 2, 1),
-], ids=lambda t: t.name())
-def test_round_trip_keeps_flat_nodes(topo):
-    # the builders that give every node a flat address lose no node field
-    again = import_edge_list(export_edge_list(topo))
-    assert again.nodes == topo.nodes
-    assert again.links == topo.links
 
 
 def test_round_trip_loses_the_fat_tree_router():
@@ -257,7 +305,6 @@ def test_import_minimal_file():
     topo = import_edge_list(text)
     assert topo.num_nodes == 2
     assert topo.num_hosts == 1
-    assert topo.taxonomy is None
     assert topo.name() == "imported"
 
 

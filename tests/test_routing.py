@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dcnbench.graph import (
-    AddressScheme,
+    Address,
     Link,
     Node,
     NodeKind,
@@ -213,10 +213,7 @@ def reference_fat_tree_route(topology, src, dst, rng):
     included."""
 
     def layer(v):
-        addr = topology.nodes[v].address
-        if addr.scheme is not AddressScheme.FAT_TREE_POD:
-            raise TopologyError("fat_tree_route requires a fat-tree-family topology")
-        return addr.digits[0]
+        return topology.nodes[v].address.digits[0]
 
     if src == dst:
         raise TopologyError("src and dst must differ")
@@ -485,6 +482,15 @@ def test_fat_tree_route_works_on_f10():
     route = fat_tree_router(topo)(0, 15, random.Random(2))
     assert len(route) - 1 == 6
     check_route(topo, route)
+
+
+def test_fat_tree_router_needs_layer_and_pod_digits():
+    # fat-tree builder params over nodes without the builder's addresses
+    topo = build_fat_tree(4)
+    nodes = [node._replace(address=Address()) for node in topo.nodes]
+    flat = Topology(nodes, topo.links, builder_params=topo.builder_params)
+    with pytest.raises(TopologyError, match="^node 0 has no layer and pod digits"):
+        fat_tree_router(flat)
 
 
 @pytest.mark.parametrize("rewire,dst,message", [
@@ -796,6 +802,10 @@ def test_route_provider_auto_dispatch():
     assert len(bc) - 1 == 4
 
 
+def bare(topology):
+    return Topology(topology.nodes, topology.links)
+
+
 @pytest.mark.parametrize("build,mode", [
     (lambda: build_dcell(4, 1), "fat-tree"),
     (lambda: build_bcube(2, 1), "fat-tree"),
@@ -804,6 +814,10 @@ def test_route_provider_auto_dispatch():
     (lambda: build_bcube(2, 1), "dcell"),
     (lambda: build_fat_tree(4), "bcube"),
     (lambda: build_dcell(4, 1), "bcube"),
+    # the builder's own nodes and links, without its builder params
+    (lambda: bare(build_fat_tree(4)), "fat-tree"),
+    (lambda: bare(build_dcell(4, 1)), "dcell"),
+    (lambda: bare(build_bcube(2, 1)), "bcube"),
 ])
 def test_route_provider_rejects_foreign_topology_when_built(build, mode):
     topo = build()
