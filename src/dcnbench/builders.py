@@ -26,8 +26,6 @@ from typing import Optional, Sequence
 
 from .graph import (
     Address,
-    DEFAULT_CAPACITY,
-    DEFAULT_LATENCY,
     Link,
     Node,
     NodeKind,

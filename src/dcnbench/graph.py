@@ -228,9 +228,10 @@ def validate(topology: Topology) -> list[str]:
     capacities that are not an ``int`` or ``float`` (a ``bool`` is not one)
     or not finite and positive, latencies that are not exactly an ``int`` or
     below one cycle, disconnected components, and address length: every
-    non-empty address has as many digits as the first. The link checks
-    admit only what the edge-list format carries back: an ``int`` latency,
-    and a capacity that :func:`import_edge_list` reads as a ``float``.
+    non-empty address has as many digits as the first. The type checks turn
+    away link fields that the edge-list text does not carry back: a latency
+    of ``2.5`` fails to import, and a capacity of ``True`` comes back as
+    ``1.0``.
     """
     violations = []
     adjacency = topology.adjacency
