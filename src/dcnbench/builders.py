@@ -6,7 +6,7 @@ record their own name as ``builder_params["builder"]``. What the name
 implies is said once, here and in the routers, not copied into each node or
 topology: :data:`TAXONOMY` maps it to the survey's classification of the
 design, and ``dcnbench.routing.SPECIALIZED_MODES`` to the routing that
-reads its addresses and layout.
+computes routes from its parameters and node numbering.
 
 The recursive server-centric topologies share one construction step, the
 complete join of :func:`_join_complete`: over sub-units 0..g, sub-unit i's

@@ -220,18 +220,27 @@ def component_count(topology: Topology) -> int:
     return count
 
 
+def _float_holds(value: int) -> bool:
+    """Whether ``float(value)`` equals ``value`` (int-float ``==`` is exact)."""
+    try:
+        return float(value) == value
+    except OverflowError:
+        return False
+
+
 def validate(topology: Topology) -> list[str]:
     """Check structural invariants, returning a list of violations.
 
     Violations are data, not failures: an empty list means the topology is
     well-formed. Checks: radix exceeded, duplicate links, self loops,
-    capacities that are not an ``int`` or ``float`` (a ``bool`` is not one)
-    or not finite and positive, latencies that are not exactly an ``int`` or
-    below one cycle, disconnected components, and address length: every
-    non-empty address has as many digits as the first. The type checks turn
-    away link fields that the edge-list text does not carry back: a latency
-    of ``2.5`` fails to import, and a capacity of ``True`` comes back as
-    ``1.0``.
+    capacities that are not an ``int`` or ``float`` (a ``bool`` is not one),
+    not finite and positive, or an ``int`` that no ``float`` holds exactly,
+    latencies that are not exactly an ``int`` or below one cycle,
+    disconnected components, and address length: every non-empty address
+    has as many digits as the first. The type checks turn away link fields
+    that the edge-list text does not carry back: a latency of ``2.5`` fails
+    to import, a capacity of ``True`` comes back as ``1.0``, one of
+    ``2**53 + 1`` as ``2**53``, and one of ``10**400`` fails to export.
     """
     violations = []
     adjacency = topology.adjacency
@@ -257,6 +266,8 @@ def validate(topology: Topology) -> list[str]:
             violations.append(f"non-positive capacity on link {idx}")
         elif capacity == math.inf:
             violations.append(f"infinite capacity on link {idx}")
+        elif isinstance(capacity, int) and not _float_holds(capacity):
+            violations.append(f"int capacity on link {idx} has no exact float")
         if type(latency) is not int:
             violations.append(f"latency {latency!r} on link {idx} is not an integer")
         elif latency < 1:
@@ -296,8 +307,7 @@ def export_edge_list(topology: Topology) -> str:
     digits, and link order, endpoints, capacity and latency, so exporting
     the imported topology gives the same text, and a topology that
     :func:`validate` passes comes back with equal ``nodes`` and ``links`` (an
-    ``int`` capacity comes back as a ``float``, equal to it when a float
-    holds it exactly).
+    ``int`` capacity comes back as the ``float`` equal to it).
     The builder parameters are dropped, and with the builder's name go what
     it implies: the taxonomy, which :data:`dcnbench.builders.TAXONOMY` reads
     by name, and the specialized router. A re-imported fat tree therefore

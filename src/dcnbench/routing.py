@@ -6,13 +6,13 @@ are node-id sequences from source host to destination host.
 Every routing mode is one router factory of one shape,
 ``(topology) -> (src, dst, rng) -> Route``: :func:`ecmp_router`,
 :func:`fat_tree_router`, :func:`dcell_router` and :func:`bcube_router`. A
-factory checks its topology (a specialized one, that
-:data:`SPECIALIZED_MODES` maps the topology's builder to its mode) and
-computes once what a lookup reads (for ECMP, next hops per host twin class
-for each node of the twin quotient, a twin sharing its class's first
-member's, and :func:`compute_ecmp_tables` serves them as per-node tables
-too); the callable it returns only indexes those or does integer arithmetic
-on the addresses.
+factory checks its topology and computes once what a lookup reads. ECMP
+builds next hops per host twin class for each node of the twin quotient, a
+twin sharing its class's first member's, and :func:`compute_ecmp_tables`
+serves them as per-node tables too; its callable only indexes those. A
+specialized factory accepts only a topology whose builder
+:data:`SPECIALIZED_MODES` maps to its mode and reads that builder's
+parameters; its callable does integer arithmetic on node ids.
 :func:`route_provider` picks the factory. Every lookup raises
 :class:`TopologyError`, after an O(1) test, when ``src == dst`` or an
 endpoint is not a host.
@@ -41,8 +41,8 @@ Router = Callable[[int, int, random.Random], Route]
 _HOST = NodeKind.HOST
 _SWITCH = NodeKind.SWITCH
 
-# builder name -> the specialized mode that reads its addresses and layout;
-# each of those modes accepts only a topology its builder maps to it
+# builder name -> the specialized mode that routes by its parameters and node
+# numbering; each of those modes accepts only a topology its builder maps to it
 SPECIALIZED_MODES = {
     "fat_tree": "fat-tree",
     "f10": "fat-tree",
@@ -239,84 +239,56 @@ def ecmp_router(topology: Topology) -> Router:
 
 def fat_tree_router(topology: Topology) -> Router:
     """Up/down routing for the fat-tree family (fat tree, F10, Facebook
-    fabric): ascend choosing uniformly among valid uplinks, stop at the
-    lowest common level, then descend along the single possible path.
+    fabric): ascend choosing uniformly among the uplinks, stop at the lowest
+    common level, then descend along the single possible path.
 
-    One pass over the nodes and their links builds the tables, and the
-    returned ``(src, dst, rng) -> Route`` callable only indexes them: each
-    host's edge switch; per switch, its aggregation neighbours (sorted with
-    link multiplicity, and as a set) and its core neighbours (sorted); per
-    ``(core, pod)``, the one aggregation switch the core reaches in that pod.
-    A host gets empty placeholders in the per-switch tables, which no lookup
-    reads, so the pass sorts nothing for the hosts (1,024 of the 1,344 nodes
-    on fat tree k=16).
-    A lookup draws ``rng.randrange(n)`` once per choice, ``n == 1`` included.
-    Layer and pod are the first two address digits, as the fat-tree family's
-    builders write them. Raises :class:`TopologyError` here if another
-    builder made the topology (:data:`SPECIALIZED_MODES`), a node has fewer
-    than two address digits or a host has no link, and at lookup time if the
-    descent is not unique.
+    Index arithmetic on the builder's parameters and numbering: hosts, then
+    edge switches, then each pod's aggregation switches, then the cores.
+    Host ``h`` sits on edge switch ``num_hosts + h // hosts_per_edge``. A
+    fat-tree or F10 pod has k/2 edge and k/2 aggregation switches, and
+    aggregation switch ``a`` of a fat-tree pod or of an F10 type-A (even)
+    pod links to cores ``a * k/2 + j``; of an F10 type-B (odd) pod, to cores
+    ``a + j * k/2``. A Facebook fabric is one pod whose edges all link to
+    every aggregation switch after them.
+    A lookup draws ``rng.randrange(n)`` once per choice, ``n == 1``
+    included: the aggregation switch, then on an inter-pod route the core
+    ``j``. Hosts are nodes ``0..num_hosts-1``. Raises :class:`TopologyError`
+    if another builder made the topology (:data:`SPECIALIZED_MODES`).
     """
-    _specialized_params(topology, "fat-tree")
-    nodes = topology.nodes
-    adjacency = topology.adjacency
-    layer = []
-    pod = []
-    for v, node in enumerate(nodes):
-        digits = node.address.digits
-        if len(digits) < 2:
-            raise TopologyError(f"node {v} has no layer and pod digits for fat-tree routing")
-        layer.append(digits[0])
-        pod.append(digits[1])
-    is_host = [node.kind is _HOST for node in nodes]
-    num_nodes = len(nodes)
-    edge_of: list[Optional[int]] = [None] * num_nodes
-    aggs: list[tuple[int, ...]] = []
-    agg_set: list[frozenset[int]] = []
-    cores: list[tuple[int, ...]] = []
-    down: dict[tuple[int, int], Optional[int]] = {}
-    for v, entries in enumerate(adjacency):
-        if is_host[v]:  # a lookup reads only its edge switch
-            if not entries:
-                raise TopologyError(f"host {v} has no link")
-            edge_of[v] = entries[0][0]
-            aggs.append(())
-            agg_set.append(frozenset())
-            cores.append(())
-            continue
-        up = sorted(nb for nb, _ in entries if layer[nb] == 2)
-        aggs.append(tuple(up))
-        agg_set.append(frozenset(up))
-        cores.append(tuple(sorted(nb for nb, _ in entries if layer[nb] == 3)))
-        if layer[v] == 3:
-            for agg in up:
-                key = (v, pod[agg])
-                down[key] = None if key in down else agg  # None: not unique
+    params = _specialized_params(topology, "fat-tree")
+    per_edge = params["hosts_per_edge"]
+    num_hosts = topology.num_hosts
+    if params["builder"] == "facebook_fabric":
+        pod_edges = num_edges = params["edge_switches"]
+        pod_aggs = topology.num_nodes - num_hosts - num_edges
+    else:
+        pod_edges = pod_aggs = params["k"] // 2
+        num_edges = params["k"] * pod_edges
+    pod_hosts = pod_edges * per_edge
+    agg_base = num_hosts + num_edges
+    core_base = agg_base + num_edges
+    f10 = params["builder"] == "f10"
 
     def route(src: int, dst: int, rng: random.Random) -> Route:
         if src == dst:
             raise TopologyError("src and dst must differ")
-        for h in (src, dst):
-            if not (0 <= h < num_nodes and is_host[h]):
-                raise TopologyError(f"{h} is not a host")
-        edge_src = edge_of[src]
-        edge_dst = edge_of[dst]
+        if not (0 <= src < num_hosts and 0 <= dst < num_hosts):
+            raise TopologyError(f"{dst if 0 <= src < num_hosts else src} is not a host")
+        edge_src = num_hosts + src // per_edge
+        edge_dst = num_hosts + dst // per_edge
         if edge_src == edge_dst:
             return [src, edge_src, dst]
-        common = agg_set[edge_src] & agg_set[edge_dst]
-        if common:
-            common = sorted(common)
-            return [src, edge_src, common[rng.randrange(len(common))], edge_dst, dst]
-        up_aggs = aggs[edge_src]
-        agg = up_aggs[rng.randrange(len(up_aggs))]
-        up_cores = cores[agg]
-        core = up_cores[rng.randrange(len(up_cores))]
-        agg_down = down.get((core, pod[dst]))
-        if agg_down is None:
-            raise TopologyError("core switch has no unique link into the destination pod")
-        if agg_down not in agg_set[edge_dst]:
-            raise TopologyError("descending path broken: aggregation not linked to edge")
-        return [src, edge_src, agg, core, agg_down, edge_dst, dst]
+        pod_src = src // pod_hosts
+        pod_dst = dst // pod_hosts
+        a = rng.randrange(pod_aggs)
+        agg = agg_base + pod_src * pod_aggs + a
+        if pod_src == pod_dst:
+            return [src, edge_src, agg, edge_dst, dst]
+        j = rng.randrange(pod_aggs)
+        core = a + j * pod_aggs if f10 and pod_src % 2 else a * pod_aggs + j
+        a_down = core % pod_aggs if f10 and pod_dst % 2 else core // pod_aggs
+        agg_down = agg_base + pod_dst * pod_aggs + a_down
+        return [src, edge_src, agg, core_base + core, agg_down, edge_dst, dst]
 
     return route
 
@@ -522,9 +494,8 @@ def route_provider(topology: Topology, mode: str = "auto") -> Router:
     :data:`SPECIALIZED_MODES` maps to it, read from ``builder_params``: the
     same nodes and links without them (an imported fat tree, say) route by
     "ecmp" only.
-    "fat-tree" builds its tables in one pass over the links, "ecmp" builds
-    its class rows over the twin quotient, and "dcell" and "bcube" only
-    read their builder parameters.
+    "ecmp" builds its class rows over the twin quotient, and "fat-tree",
+    "dcell" and "bcube" only read their builder parameters.
     """
     mode = resolve_routing_mode(topology, mode)
     factory = ROUTERS.get(mode)

@@ -1,5 +1,7 @@
 import math
+import random
 import re
+import struct
 
 import pytest
 
@@ -131,9 +133,16 @@ def test_infinite_capacity_reported(capacities, report):
      ["capacity '2' on link 0 is not a number", "latency 10.0 on link 1 is not an integer"]),
     ([Link(0, 1, None), Link(2, 1, 1.0, None)],
      ["capacity None on link 0 is not a number", "latency None on link 1 is not an integer"]),
+    # an int capacity no float holds: the export raises OverflowError, or
+    # the text reads back as 2**53
+    ([Link(0, 1, 10**400), Link(2, 1)], ["int capacity on link 0 has no exact float"]),
+    ([Link(0, 1), Link(2, 1, 2**53 + 1)], ["int capacity on link 1 has no exact float"]),
     # an int capacity is a number, and reads back as the equal float
     ([Link(0, 1, 2), Link(2, 1, 0.5, 1)], []),
-], ids=["bool-capacity-float-latency", "bool-both", "str-capacity-float-latency", "none", "valid"])
+    ([Link(0, 1, 2**53), Link(2, 1, 2**1023)], []),
+], ids=["bool-capacity-float-latency", "bool-both", "str-capacity-float-latency", "none",
+        "int-capacity-overflows-float", "int-capacity-rounds-in-float", "valid",
+        "valid-large-int-capacity"])
 def test_link_fields_the_edge_list_cannot_carry_reported(links, report):
     nodes = [Node(NodeKind.HOST, 1), Node(NodeKind.SWITCH, 2), Node(NodeKind.HOST, 1)]
     topo = Topology(nodes, links)
@@ -271,6 +280,36 @@ def test_round_trip_keeps_structure(name):
     assert again.links == topo.links  # endpoints, capacity and latency, in order
     # what the format does not carry: the builder, and what its name implies
     assert again.builder_params == {"builder": "imported"}
+
+
+def random_float(rng):
+    # any pattern with the sign bit clear: subnormals, NaN and infinity included
+    return struct.unpack("<d", rng.getrandbits(63).to_bytes(8, "little"))[0]
+
+
+def random_int(rng):
+    # up to 63 significant bits, some shifted past 2**1024
+    return rng.getrandbits(rng.randrange(1, 64)) << rng.randrange(rng.choice((1, 1000)))
+
+
+def test_round_trip_keeps_every_link_validate_passes():
+    rng = random.Random(18)
+    edge_cases = [1, 1.0, 5e-324, 1.7976931348623157e308, 2**53]
+    passed = []
+    for trial in range(400):
+        capacities = [edge_cases[trial % 5]] + [
+            rng.choice((random_float, random_int))(rng) for _ in range(2)
+        ]
+        latencies = [rng.choice((rng.randrange(20), rng.getrandbits(80))) for _ in range(3)]
+        nodes = [Node(NodeKind.HOST, 1)] * 3 + [Node(NodeKind.SWITCH, 3)]
+        links = [Link(h, 3, c, l) for h, (c, l) in enumerate(zip(capacities, latencies))]
+        topo = Topology(nodes, links)
+        if validate(topo) == []:
+            assert import_edge_list(export_edge_list(topo)).links == topo.links
+            passed.extend(capacities)
+    assert 50 < len(passed) < 1200  # the draw hits both sides of validate
+    for capacity in edge_cases:
+        assert any(type(c) is type(capacity) and c == capacity for c in passed)
 
 
 def test_round_trip_loses_the_fat_tree_router():
@@ -534,8 +573,8 @@ def test_twin_quotient_rejects_twins_without_links(build):
 
 
 def test_build_does_not_make_the_neighbors_table():
-    # the table is built on first use, so builders and setups that read only
-    # adjacency (component_count, fat_tree_router) never pay for it
+    # the table is built on first use, so builders and callers that read only
+    # adjacency (component_count, validate) never pay for it
     topo = build_jellyfish(200, 12, 8, 1)
     assert "neighbors" not in topo.__dict__
     assert len(topo.neighbors) == topo.num_nodes
